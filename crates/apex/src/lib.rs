@@ -23,8 +23,8 @@
 //!   the software-vs-software analog shows the same asymmetry, smaller).
 //! * [`core_model`]/[`chip_model`] build the Fig. 10 configurations: the
 //!   core-only model with infinite L2 versus the full chip model with the
-//!   real cache/memory hierarchy, and [`run_fig10`] produces the
-//!   power-vs-IPC scatter for SPECint-like snippets in SMT2 mode.
+//!   real cache/memory hierarchy; `p10_core::powerstudies::run_fig10`
+//!   runs them into the power-vs-IPC scatter ([`Fig10Point`]).
 //! * [`lfsr`] implements the LFSR counters themselves.
 
 #![forbid(unsafe_code)]
@@ -34,8 +34,7 @@ pub mod lfsr;
 
 use p10_power::{PowerModel, PowerReport};
 use p10_rtlsim::{run_detailed, Roi, ToggleDensity};
-use p10_uarch::{Activity, Core, CoreConfig, SimResult, SmtMode, SpanObserver};
-use p10_workloads::Benchmark;
+use p10_uarch::{Activity, Core, CoreConfig, SimResult, SpanObserver};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -273,39 +272,6 @@ pub struct Fig10Point {
     pub core_power: f64,
 }
 
-/// Runs the Fig. 10 experiment: `snippets` simpoint-like snippets per
-/// benchmark, SMT2 mode, both the core model and the chip model.
-#[must_use]
-pub fn run_fig10(benchmarks: &[Benchmark], snippets: u32, ops_per_snippet: u64) -> Vec<Fig10Point> {
-    let mut points = Vec::new();
-    let mut base = CoreConfig::power10();
-    base.smt = SmtMode::Smt2;
-    for b in benchmarks {
-        for s in 0..snippets {
-            let traces: Vec<p10_isa::TraceView> = (0..2)
-                .map(|t| {
-                    b.workload(1000 + u64::from(s) * 17 + t)
-                        .trace_view_or_panic(ops_per_snippet)
-                })
-                .collect();
-            for (model, cfg) in [
-                (ApexModel::Core, core_model(base.clone())),
-                (ApexModel::Chip, chip_model(base.clone())),
-            ] {
-                let report = run_apex(&cfg, traces.clone(), 4096, ops_per_snippet * 40);
-                points.push(Fig10Point {
-                    bench: b.name.clone(),
-                    snippet: s,
-                    model,
-                    ipc: report.sim.ipc(),
-                    core_power: report.power.core_total(),
-                });
-            }
-        }
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,16 +322,6 @@ mod tests {
             core.sim.ipc(),
             chip.sim.ipc()
         );
-    }
-
-    #[test]
-    fn fig10_produces_paired_points() {
-        let suite = specint_like();
-        let pts = run_fig10(&suite[8..9], 2, 4_000);
-        assert_eq!(pts.len(), 4); // 1 bench x 2 snippets x 2 models
-        assert!(pts.iter().all(|p| p.ipc > 0.0 && p.core_power > 0.0));
-        assert!(pts.iter().any(|p| p.model == ApexModel::Core));
-        assert!(pts.iter().any(|p| p.model == ApexModel::Chip));
     }
 
     /// Property tests driving random live/span delivery patterns through

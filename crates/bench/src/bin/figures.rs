@@ -8,7 +8,9 @@
 //! as well as printing it. `--jobs N` sets the worker-pool width
 //! (default: all CPUs) and `--no-cache` disables the on-disk result
 //! cache (`target/p10sim-cache`, override with `P10SIM_CACHE_DIR`); see
-//! `p10_core::runner`. `--no-trace-arena` (or `P10SIM_TRACE_ARENA=0`)
+//! `p10_core::runner`. Every experiment but `apex-speedup` (which times
+//! the host) stores its whole result in that cache, so a warm re-run
+//! only decodes it. `--no-trace-arena` (or `P10SIM_TRACE_ARENA=0`)
 //! forces the legacy synthesize-per-call trace path, bypassing the
 //! process-wide content-keyed trace arena — the A/B switch for checking
 //! that arena output is byte-identical (it mirrors `--no-cache`).
@@ -55,7 +57,7 @@
 use p10_bench::{suite, FULL_OPS};
 use p10_core::dse;
 use p10_core::powerstudies::{
-    build_dataset, build_datasets, run_fig11, run_fig12, run_fig15a, run_fig15b, Target,
+    build_dataset, build_datasets, run_fig10, run_fig11, run_fig12, run_fig15a, run_fig15b, Target,
 };
 use p10_core::runner;
 use p10_core::sampling::{self, SamplingMode};
@@ -64,6 +66,7 @@ use p10_kernels::models::{bert_large, resnet50};
 use p10_powermgmt::wof;
 use p10_uarch::CoreConfig;
 use p10_workloads::chopstix;
+use serde::{Deserialize, Serialize};
 use serde_json::json;
 
 const EXPERIMENTS: [&str; 22] = [
@@ -376,13 +379,14 @@ fn main() {
         progress: true,
     });
     eprintln!(
-        "[figures] {} worker(s), disk cache {}",
+        "[figures] {} worker(s), disk cache {}, code fingerprint {}",
         runner::engine().jobs(),
         if opts.no_cache {
             "off".to_owned()
         } else {
             runner::default_cache_dir().display().to_string()
-        }
+        },
+        runner::fingerprint()
     );
 
     let experiments: Vec<&str> = if what == "all" {
@@ -746,6 +750,28 @@ fn header(title: &str, paper: &str) {
     println!("    paper reference: {paper}");
 }
 
+/// An experiment's printed result through the engine cache, so a warm
+/// re-run only decodes it. The key is the experiment name, its `args`
+/// (every input the computation takes) and the sampling mode; the
+/// engine prefixes it with the code fingerprint, which covers the
+/// presets, suites and models the computation builds from source.
+fn experiment<T>(name: &str, args: &str, compute: impl FnOnce() -> T) -> T
+where
+    T: Clone + Serialize + Deserialize + Send + Sync + 'static,
+{
+    let mode = sampling::active().map_or_else(|| "exact".to_owned(), |m| m.describe());
+    runner::cached(
+        name,
+        &format!("experiment|{name}|{args}|sampling={mode}"),
+        compute,
+    )
+}
+
+/// A configuration as an [`experiment`] key argument.
+fn config_arg(cfg: &CoreConfig) -> String {
+    serde_json::to_string(cfg).expect("config serializes")
+}
+
 fn do_table1(o: &Opts) {
     header(
         "Table I — chip features & efficiency projections",
@@ -838,7 +864,7 @@ fn do_fig5(o: &Opts) {
         "Fig. 5 — DGEMM flops/cycle & core power",
         "P10 VSU 1.95x @ -32.2%; P10 MMA 5.47x @ -24.1%; 62.1%/87.1% of peak",
     );
-    let f = gemm::run_fig5(o.ops);
+    let f = experiment("fig5", &format!("ops={}", o.ops), || gemm::run_fig5(o.ops));
     if o.json {
         println!("{}", serde_json::to_string_pretty(&f).expect("json"));
         return;
@@ -950,7 +976,10 @@ fn do_fig10(o: &Opts) {
         "Fig. 10 — core-model vs chip-model power/IPC scatter",
         "memory-bound simpoints diverge between models",
     );
-    let pts = p10_apex::run_fig10(&suite(), 4, o.ops / 10);
+    let ops = o.ops / 10;
+    let pts = experiment("fig10", &format!("snippets=4|ops={ops}"), || {
+        run_fig10(&suite(), 4, ops)
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&pts).expect("json"));
         return;
@@ -985,13 +1014,25 @@ fn fig11_dataset(o: &Opts) -> p10_powermodel::Dataset {
     )
 }
 
+/// The [`fig11_dataset`] inputs plus a study's own `extra` ones, as an
+/// [`experiment`] key argument.
+fn fig11_args(o: &Opts, extra: &str) -> String {
+    format!(
+        "cfg={}|seeds=[1, 2]|ops={}|window=512|active|{extra}",
+        config_arg(&CoreConfig::power10()),
+        o.ops / 2
+    )
+}
+
 fn do_fig11(o: &Opts) {
     header(
         "Fig. 11 — M1-linked power model error vs #inputs",
         "error falls with inputs; <2.5% active at max inputs",
     );
-    let data = runner::timed("fig11 dataset", || fig11_dataset(o));
-    let curves = runner::timed("fig11 regression", || run_fig11(&data, 12));
+    let curves = experiment("fig11", &fig11_args(o, "inputs=12"), || {
+        let data = runner::timed("fig11 dataset", || fig11_dataset(o));
+        runner::timed("fig11 regression", || run_fig11(&data, 12))
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&curves).expect("json"));
         return;
@@ -1013,15 +1054,22 @@ fn do_fig12(o: &Opts) {
         "models differ by 3.42% on average; 72 events total bottom-up",
     );
     let cfg = CoreConfig::power10();
-    let sweep_suite = suite();
-    // One windowed-run pass feeds all 40 targets (total + 39 components).
-    let targets: Vec<Target> = std::iter::once(Target::TotalPower)
-        .chain((0..39).map(Target::Component))
-        .collect();
-    let mut datasets = build_datasets(&cfg, &sweep_suite[..6], &[1], o.ops / 3, 512, &targets);
-    let total = datasets.remove(0);
-    let components = datasets;
-    let f = run_fig12(&total, &components, 12, 3);
+    let ops = o.ops / 3;
+    let args = format!(
+        "cfg={}|benches=6|seeds=[1]|ops={ops}|window=512|inputs=12,3",
+        config_arg(&cfg)
+    );
+    let f = experiment("fig12", &args, || {
+        let sweep_suite = suite();
+        // One windowed-run pass feeds all 40 targets (total + 39
+        // components).
+        let targets: Vec<Target> = std::iter::once(Target::TotalPower)
+            .chain((0..39).map(Target::Component))
+            .collect();
+        let mut datasets = build_datasets(&cfg, &sweep_suite[..6], &[1], ops, 512, &targets);
+        let total = datasets.remove(0);
+        run_fig12(&total, &datasets, 12, 3)
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&f).expect("json"));
         return;
@@ -1046,7 +1094,10 @@ fn do_fig13(o: &Opts) {
         "Fig. 13 — derating per testcase",
         "VT=10% leaves ~25% vulnerable; VT=90% ~52%",
     );
-    let f = rasstudy::run_fig13(&CoreConfig::power10(), o.ops / 6, 3);
+    let cfg = CoreConfig::power10();
+    let ops = o.ops / 6;
+    let args = format!("cfg={}|ops={ops}|spec_benches=3", config_arg(&cfg));
+    let f = experiment("fig13", &args, || rasstudy::run_fig13(&cfg, ops, 3));
     if o.json {
         println!("{}", serde_json::to_string_pretty(&f).expect("json"));
         return;
@@ -1068,7 +1119,10 @@ fn do_fig14(o: &Opts) {
         "Fig. 14 — POWER9 vs POWER10 derating vs VT",
         "P10 runtime derating higher (6%→21% gap); static ~10% lower",
     );
-    let f = rasstudy::run_fig14(o.ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9]);
+    let (ops, vts) = (o.ops / 6, [0.1, 0.3, 0.5, 0.7, 0.9]);
+    let f = experiment("fig14", &format!("ops={ops}|vts={vts:?}"), || {
+        rasstudy::run_fig14(ops, &vts)
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&f).expect("json"));
         return;
@@ -1097,8 +1151,9 @@ fn do_fig15a(o: &Opts) {
         "Fig. 15(a) — power-proxy error vs #counters",
         "16 counters → 9.8% active-power error (<5% incl. static)",
     );
-    let data = fig11_dataset(o);
-    let sweep = run_fig15a(&data, 16);
+    let sweep = experiment("fig15a", &fig11_args(o, "counters=16"), || {
+        run_fig15a(&fig11_dataset(o), 16)
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&sweep).expect("json"));
         return;
@@ -1116,14 +1171,15 @@ fn do_fig15b(o: &Opts) {
         "Fig. 15(b) — proxy error vs time granularity",
         "predicting every >=50 cycles is near-best; finer degrades fast",
     );
-    let pts = run_fig15b(
-        &CoreConfig::power10(),
-        &suite()[8],
-        o.ops / 2,
-        &[8, 16, 32, 64, 128, 256, 512],
-        8,
-        0.35,
+    let cfg = CoreConfig::power10();
+    let (ops, windows) = (o.ops / 2, [8, 16, 32, 64, 128, 256, 512]);
+    let args = format!(
+        "cfg={}|bench=8|ops={ops}|windows={windows:?}|inputs=8|carryover=0.35",
+        config_arg(&cfg)
     );
+    let pts = experiment("fig15b", &args, || {
+        run_fig15b(&cfg, &suite()[8], ops, &windows, 8, 0.35)
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&pts).expect("json"));
         return;
@@ -1141,7 +1197,10 @@ fn do_flushes(o: &Opts) {
         "Flush study — wasted instructions",
         "-25% SPECint, -38% interpreted/analytics",
     );
-    let s = flush::run_flush_study(42, o.ops / 2);
+    let ops = o.ops / 2;
+    let s = experiment("flushes", &format!("seed=42|ops={ops}"), || {
+        flush::run_flush_study(42, ops)
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&s).expect("json"));
         return;
@@ -1170,8 +1229,10 @@ fn do_coverage(o: &Opts) {
         "Proxy coverage — Chopstix top-10 hot functions",
         "coverage 41% (gcc) to 99% (xz), ~70% average",
     );
-    let workloads: Vec<_> = suite().iter().map(|b| b.workload(23)).collect();
-    let rows = chopstix::coverage_table(&workloads, o.ops, 10);
+    let rows = experiment("coverage", &format!("seed=23|ops={}|top=10", o.ops), || {
+        let workloads: Vec<_> = suite().iter().map(|b| b.workload(23)).collect();
+        chopstix::coverage_table(&workloads, o.ops, 10)
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
         return;
@@ -1365,12 +1426,15 @@ fn do_tracking(o: &Opts) {
         "SS III-B tracked metrics",
         "IPC, core power, efficiency, latches, % clock enabled, switching",
     );
-    let suite = suite();
-    let sel = &suite[..4];
-    let rows = [
-        p10_core::tracking::track(&CoreConfig::power9(), sel, 42, o.ops / 6),
-        p10_core::tracking::track(&CoreConfig::power10(), sel, 42, o.ops / 6),
-    ];
+    let ops = o.ops / 6;
+    let rows = experiment("tracking", &format!("benches=4|seed=42|ops={ops}"), || {
+        let suite = suite();
+        let sel = &suite[..4];
+        vec![
+            p10_core::tracking::track(&CoreConfig::power9(), sel, 42, ops),
+            p10_core::tracking::track(&CoreConfig::power10(), sel, 42, ops),
+        ]
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
         return;
@@ -1394,16 +1458,21 @@ fn do_tracking(o: &Opts) {
     }
 }
 
-fn do_droop(o: &Opts) {
-    header(
-        "Workload-transition droop",
-        "SS IV-B: sudden workload change droops the rail; the DDS clips it",
-    );
+/// The numbers `droop` prints.
+#[derive(Clone, Serialize, Deserialize)]
+struct Droop {
+    max_droop_unprotected: f64,
+    max_droop_with_dds: f64,
+    engagements: u32,
+    windows: usize,
+}
+
+fn run_droop(ops: u64) -> Droop {
     use p10_powermgmt::throttle::{demand_from_power, simulate_droop, DroopSensor, PdnModel};
     // Real transition: idle-ish scalar loop into the MMA DGEMM kernel.
-    let scalar = suite()[8].workload(3).trace_or_panic(o.ops / 8);
+    let scalar = suite()[8].workload(3).trace_or_panic(ops / 8);
     let mut ops_list = scalar.ops;
-    let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(o.ops / 4);
+    let kernel = p10_kernels::gemm::dgemm_mma(1 << 40).trace_or_panic(ops / 4);
     // The kernel workload uses its own memory image; for the droop demand
     // we only need the power series, so run the two phases separately.
     let cfg = CoreConfig::power10();
@@ -1416,7 +1485,7 @@ fn do_droop(o: &Opts) {
             .map(|w| model.evaluate(&w.activity).core_total())
             .collect()
     };
-    ops_list.truncate(o.ops as usize / 8);
+    ops_list.truncate(ops as usize / 8);
     let mut powers = phase_power(p10_isa::Trace { ops: ops_list });
     let p_ref = powers.iter().copied().fold(0.0f64, f64::max).max(1.0);
     powers.extend(phase_power(kernel));
@@ -1424,27 +1493,33 @@ fn do_droop(o: &Opts) {
     let pdn = PdnModel::default();
     let free = simulate_droop(&pdn, None, &demand);
     let protected = simulate_droop(&pdn, Some(&DroopSensor::default()), &demand);
+    Droop {
+        max_droop_unprotected: free.max_droop,
+        max_droop_with_dds: protected.max_droop,
+        engagements: protected.engagements,
+        windows: demand.len(),
+    }
+}
+
+fn do_droop(o: &Opts) {
+    header(
+        "Workload-transition droop",
+        "SS IV-B: sudden workload change droops the rail; the DDS clips it",
+    );
+    let d = experiment("droop", &format!("ops={}", o.ops), || run_droop(o.ops));
     if o.json {
-        println!(
-            "{}",
-            serde_json::json!({
-                "max_droop_unprotected": free.max_droop,
-                "max_droop_with_dds": protected.max_droop,
-                "engagements": protected.engagements,
-                "windows": demand.len(),
-            })
-        );
+        println!("{}", serde_json::to_string(&d).expect("json"));
         return;
     }
     println!(
         "scalar -> MMA-kernel transition over {} power windows:",
-        demand.len()
+        d.windows
     );
     println!(
         "worst droop without DDS {:.1}%  |  with DDS {:.1}% ({} engagements)",
-        free.max_droop * 100.0,
-        protected.max_droop * 100.0,
-        protected.engagements
+        d.max_droop_unprotected * 100.0,
+        d.max_droop_with_dds * 100.0,
+        d.engagements
     );
 }
 
@@ -1769,8 +1844,16 @@ fn do_tracepoints(o: &Opts) {
         "Tracepoints vs Simpoints",
         "counter-histogram epochs beat BBVs on phased/interpreted code",
     );
-    let w = p10_workloads::suite::phased_pointer_chase(2_000);
-    let s = tracestudy::run_trace_study(&CoreConfig::power10(), &w, o.ops, 1_500, 3);
+    let cfg = CoreConfig::power10();
+    let args = format!(
+        "cfg={}|phased_pointer_chase=2000|ops={}|interval=1500|k=3",
+        config_arg(&cfg),
+        o.ops
+    );
+    let s = experiment("tracepoints", &args, || {
+        let w = p10_workloads::suite::phased_pointer_chase(2_000);
+        tracestudy::run_trace_study(&cfg, &w, o.ops, 1_500, 3)
+    });
     if o.json {
         println!("{}", serde_json::to_string_pretty(&s).expect("json"));
         return;

@@ -540,9 +540,13 @@ fn read_journal(path: &Path) -> HashMap<String, Vec<DsePointResult>> {
     map
 }
 
+/// A shard's journal key. It starts with the code
+/// [`crate::runner::fingerprint`], so a journal written by other code is
+/// never resumed from.
 fn shard_key(shard: &[DsePoint], suite: &[Benchmark], cfg: &DseConfig, ref_active: f64) -> String {
     let body = format!(
-        "dse_shard|{}|{}|{}|{}|{}|{:016x}",
+        "{}|dse_shard|{}|{}|{}|{}|{}|{:016x}",
+        crate::runner::fingerprint(),
         serde_json::to_string(shard).expect("points serialize"),
         serde_json::to_string(suite).expect("suite serializes"),
         cfg.seed,

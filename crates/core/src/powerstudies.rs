@@ -1,4 +1,5 @@
-//! Counter-based power-model experiments: Figs. 11, 12, 15(a) and 15(b).
+//! APEX-based power experiments: the Fig. 10 core-vs-chip scatter and
+//! the counter-based power models of Figs. 11, 12, 15(a) and 15(b).
 //!
 //! Datasets are built from APEX-style windowed runs of the workload
 //! suite: each extraction window contributes one sample of per-cycle
@@ -6,12 +7,51 @@
 //! component power model — the stand-in for Einspower reference data).
 
 use crate::runner;
-use p10_apex::{run_apex, ApexReport};
+use p10_apex::{chip_model, core_model, run_apex, ApexModel, ApexReport, Fig10Point};
 use p10_power::PowerModel;
 use p10_powermodel::{fit, forward_select, input_sweep, Dataset, FitOptions, SweepPoint};
-use p10_uarch::{Activity, CoreConfig};
+use p10_uarch::{Activity, CoreConfig, SmtMode};
 use p10_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
+
+/// Runs the Fig. 10 experiment: `snippets` simpoint-like snippets per
+/// benchmark, SMT2 mode, both the core model and the chip model.
+///
+/// Each (benchmark, snippet) pair is one job on the engine's worker pool
+/// and runs both models on the same two traces; points come back in
+/// benchmark, snippet, model order, as a serial loop produces them.
+#[must_use]
+pub fn run_fig10(benchmarks: &[Benchmark], snippets: u32, ops_per_snippet: u64) -> Vec<Fig10Point> {
+    let mut base = CoreConfig::power10();
+    base.smt = SmtMode::Smt2;
+    let models = [
+        (ApexModel::Core, core_model(base.clone())),
+        (ApexModel::Chip, chip_model(base)),
+    ];
+    let jobs: Vec<(&Benchmark, u32)> = benchmarks
+        .iter()
+        .flat_map(|b| (0..snippets).map(move |s| (b, s)))
+        .collect();
+    let pairs = runner::run_jobs_par(&jobs, |_, &(b, s)| {
+        let traces: Vec<p10_isa::TraceView> = (0..2)
+            .map(|t| {
+                b.workload(1000 + u64::from(s) * 17 + t)
+                    .trace_view_or_panic(ops_per_snippet)
+            })
+            .collect();
+        models.clone().map(|(model, cfg)| {
+            let report = run_apex(&cfg, traces.clone(), 4096, ops_per_snippet * 40);
+            Fig10Point {
+                bench: b.name.clone(),
+                snippet: s,
+                model,
+                ipc: report.sim.ipc(),
+                core_power: report.power.core_total(),
+            }
+        })
+    });
+    pairs.into_iter().flatten().collect()
+}
 
 /// Per-cycle counter rates as a named feature vector.
 #[must_use]
@@ -428,6 +468,16 @@ pub fn run_fig15b(
 mod tests {
     use super::*;
     use p10_workloads::specint_like;
+
+    #[test]
+    fn fig10_produces_paired_points() {
+        let suite = specint_like();
+        let pts = run_fig10(&suite[8..9], 2, 4_000);
+        assert_eq!(pts.len(), 4); // 1 bench x 2 snippets x 2 models
+        assert!(pts.iter().all(|p| p.ipc > 0.0 && p.core_power > 0.0));
+        assert!(pts.iter().any(|p| p.model == ApexModel::Core));
+        assert!(pts.iter().any(|p| p.model == ApexModel::Chip));
+    }
 
     fn small_dataset(target: Target) -> Dataset {
         let suite = specint_like();

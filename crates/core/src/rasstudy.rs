@@ -1,14 +1,13 @@
 //! The SERMiner derating studies: Fig. 13 (per-testcase derating) and
 //! Fig. 14 (POWER9 vs POWER10 derating versus VT).
 
+use crate::runner;
 use p10_rtlsim::{run_detailed, Roi, RtlReport, ToggleDensity};
 use p10_serminer::{derating_curve, derating_row, DeratingCurve, DeratingRow};
 use p10_uarch::CoreConfig;
 use p10_workloads::microbench::{derating_grid, generate, DataInit, MicrobenchSpec};
-use p10_workloads::{arena, chopstix, specint_like};
+use p10_workloads::{chopstix, specint_like};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 fn detailed<T: Into<p10_isa::TraceView>>(
     cfg: &CoreConfig,
@@ -28,46 +27,27 @@ fn detailed<T: Into<p10_isa::TraceView>>(
     run_detailed(&cfg, traces, Roi::new(500, 2_000_000), toggle)
 }
 
-/// A detailed run of one grid testcase, memoized process-wide.
+/// A detailed run of one grid testcase, through the engine cache.
 ///
 /// Fig. 13 on POWER10 and the Fig. 14 POWER10 pass run the same leading
 /// grid specs at the same op budget; since [`generate`] and the detailed
 /// simulator are both deterministic, the report is fully determined by
-/// `(config, spec, ops)` and can be shared. Disabled together with the
-/// trace arena so `--no-trace-arena` exercises the legacy path.
-fn grid_detailed(cfg: &CoreConfig, spec: &MicrobenchSpec, ops: u64) -> Arc<RtlReport> {
-    let run = || {
-        let traces: Vec<p10_isa::TraceView> = (0..spec.smt)
-            .map(|t| generate(spec, 13 + u64::from(t)).trace_view_or_panic(ops))
-            .collect();
-        detailed(cfg, traces, spec.init)
-    };
-    if !arena::enabled() {
-        return Arc::new(run());
-    }
-    static MEMO: OnceLock<Mutex<HashMap<u64, Arc<RtlReport>>>> = OnceLock::new();
-    let key = {
-        use std::hash::{Hash, Hasher};
-        let mut h = p10_isa::Fnv1aHasher::new();
-        serde_json::to_string(cfg)
-            .expect("config json")
-            .hash(&mut h);
-        spec.hash(&mut h);
-        ops.hash(&mut h);
-        h.finish()
-    };
-    let mut map = MEMO
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("detailed memo poisoned");
-    if let Some(r) = map.get(&key) {
-        p10_obs::counter("trace.arena.detailed_hits", 1);
-        return Arc::clone(r);
-    }
-    p10_obs::counter("trace.arena.detailed_misses", 1);
-    let r = Arc::new(run());
-    map.insert(key, Arc::clone(&r));
-    r
+/// `(config, spec, ops)` and the engine's memo shares it between them.
+fn grid_detailed(cfg: &CoreConfig, spec: &MicrobenchSpec, ops: u64) -> RtlReport {
+    runner::cached(
+        &format!("rtl {} @ {} ops={ops}", spec.name(), cfg.name),
+        &format!(
+            "rtl_grid|{}|{}|{ops}",
+            serde_json::to_string(cfg).expect("config serializes"),
+            serde_json::to_string(spec).expect("spec serializes"),
+        ),
+        || {
+            let traces: Vec<p10_isa::TraceView> = (0..spec.smt)
+                .map(|t| generate(spec, 13 + u64::from(t)).trace_view_or_panic(ops))
+                .collect();
+            detailed(cfg, traces, spec.init)
+        },
+    )
 }
 
 /// The Fig. 13 dataset: derating per testcase (the Microprobe-style grid
@@ -78,26 +58,28 @@ pub struct Fig13 {
     pub rows: Vec<DeratingRow>,
 }
 
-/// Runs Fig. 13 on a configuration.
+/// Runs Fig. 13 on a configuration. The grid testcases and SPEC proxies
+/// run across the engine's worker pool; rows keep their serial order.
 #[must_use]
 pub fn run_fig13(cfg: &CoreConfig, ops: u64, spec_benches: usize) -> Fig13 {
-    let mut rows = Vec::new();
     // Microprobe-style grid. The ST/SMT labels describe the original
     // testcase family; the kernels run on the configured core.
-    for spec in derating_grid() {
-        let r = grid_detailed(cfg, &spec, ops);
-        rows.push(derating_row(&spec.name(), &r));
-    }
+    let grid = derating_grid();
+    let mut rows = runner::run_jobs_par(&grid, |_, spec| {
+        derating_row(&spec.name(), &grid_detailed(cfg, spec, ops))
+    });
     // SPEC proxy workloads (top hot-function proxies of a few suite
     // members; random data).
-    for b in specint_like().into_iter().take(spec_benches) {
+    let benches: Vec<_> = specint_like().into_iter().take(spec_benches).collect();
+    let spec_rows = runner::run_jobs_par(&benches, |_, b| {
         let w = b.workload(29);
         let set = chopstix::extract(&w, ops.min(40_000), 3);
-        if let Some(p) = set.proxies.first() {
+        set.proxies.first().map(|p| {
             let r = detailed(cfg, vec![p.trace(ops)], DataInit::Random);
-            rows.push(derating_row(&format!("{}_spec", b.name), &r));
-        }
-    }
+            derating_row(&format!("{}_spec", b.name), &r)
+        })
+    });
+    rows.extend(spec_rows.into_iter().flatten());
     Fig13 { rows }
 }
 
@@ -125,21 +107,27 @@ impl Fig14 {
     }
 }
 
-/// Runs Fig. 14 across the derating grid workloads.
+/// Runs Fig. 14 across the derating grid workloads; the twelve detailed
+/// runs (two designs by six testcases) share the engine's worker pool.
 #[must_use]
 pub fn run_fig14(ops: u64, vts: &[f64]) -> Fig14 {
-    let mut curves = Vec::new();
-    for cfg in [CoreConfig::power9(), CoreConfig::power10()] {
-        let mut reports = Vec::new();
-        for spec in derating_grid().into_iter().take(6) {
-            reports.push(grid_detailed(&cfg, &spec, ops));
-        }
-        let refs: Vec<&RtlReport> = reports.iter().map(Arc::as_ref).collect();
-        curves.push(derating_curve(&cfg.name, &refs, vts));
+    let designs = [CoreConfig::power9(), CoreConfig::power10()];
+    let specs: Vec<MicrobenchSpec> = derating_grid().into_iter().take(6).collect();
+    let jobs: Vec<(&CoreConfig, &MicrobenchSpec)> = designs
+        .iter()
+        .flat_map(|cfg| specs.iter().map(move |spec| (cfg, spec)))
+        .collect();
+    let reports = runner::run_jobs_par(&jobs, |_, &(cfg, spec)| grid_detailed(cfg, spec, ops));
+    let curve = |i: usize| {
+        let refs: Vec<&RtlReport> = reports[i * specs.len()..(i + 1) * specs.len()]
+            .iter()
+            .collect();
+        derating_curve(&designs[i].name, &refs, vts)
+    };
+    Fig14 {
+        p9: curve(0),
+        p10: curve(1),
     }
-    let p10 = curves.pop().expect("two curves");
-    let p9 = curves.pop().expect("two curves");
-    Fig14 { p9, p10 }
 }
 
 #[cfg(test)]

@@ -17,9 +17,11 @@
 //!
 //! Keys are content hashes of the full serialized configuration plus the
 //! workload identity, seed, and op budget — a config tweak, new seed, or
-//! different budget is a different point. Per-job wall-clock timing and a
-//! progress line (on stderr, so `--json` stdout stays parseable) make
-//! long runs observable.
+//! different budget is a different point. Every key is prefixed with the
+//! code [`fingerprint`], a build-time hash of the workspace sources, so
+//! an entry written by other code is never read back. Per-job wall-clock
+//! timing and a progress line (on stderr, so `--json` stdout stays
+//! parseable) make long runs observable.
 
 use crate::scenario::{run_benchmark, ScenarioResult, SuiteResult};
 use p10_uarch::{CoreConfig, Scheduler};
@@ -29,8 +31,41 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 use std::time::Instant;
+
+/// Hash of the workspace sources this binary was built from (16 hex
+/// digits; computed by `build.rs` over every program source file in
+/// sorted path order).
+pub const SOURCE_FINGERPRINT: &str = env!("P10_SOURCE_FINGERPRINT");
+
+static FINGERPRINT: RwLock<&'static str> = RwLock::new(SOURCE_FINGERPRINT);
+
+/// The code fingerprint every persistent key starts with: the result
+/// cache ([`Engine::cached`]), warm-state checkpoints and the DSE shard
+/// journal. Two builds share stored entries only if their program
+/// sources are identical, so a hit never returns a value the current
+/// code would not compute.
+#[must_use]
+pub fn fingerprint() -> &'static str {
+    *FINGERPRINT.read().expect("fingerprint lock poisoned")
+}
+
+/// Replaces this process's code fingerprint, as a code change would.
+/// Only tests call this, to check that every store misses afterwards.
+pub fn override_fingerprint(fp: &str) {
+    *FINGERPRINT.write().expect("fingerprint lock poisoned") = Box::leak(fp.into());
+}
+
+/// A temporary-file path for an atomic write of `name` into `dir`,
+/// unique per write: the process id plus a per-process counter, so two
+/// threads (or processes) writing the same entry never share a temp
+/// file that one could truncate while the other renames it.
+pub(crate) fn temp_path(dir: &Path, name: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!("{name}.tmp.{}.{n}", std::process::id()))
+}
 
 /// How an [`Engine`] should run jobs and cache results.
 #[derive(Debug, Clone, Default)]
@@ -210,7 +245,7 @@ impl Engine {
         T: Clone + Serialize + Deserialize + Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let key = format!("{:016x}", fnv1a64(key.as_bytes()));
+        let key = entry_key(key);
         if let Some(hit) = self.memo_get::<T>(&key) {
             self.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
             p10_obs::counter("cache.memo_hits", 1);
@@ -352,7 +387,7 @@ impl Engine {
         };
         // Write-then-rename so concurrent workers never observe a torn
         // entry; collisions on the same key write identical bytes anyway.
-        let tmp = dir.join(format!("{key}.tmp.{}", std::process::id()));
+        let tmp = temp_path(dir, key);
         let final_path = dir.join(format!("{key}.json"));
         if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &final_path).is_err() {
             let _ = std::fs::remove_file(&tmp);
@@ -469,6 +504,15 @@ pub fn point_key(cfg: &CoreConfig, bench: &Benchmark, seed: u64, max_ops: u64) -
         "scenario|{}|{}|{seed}|{max_ops}",
         serde_json::to_string(&timing_projection(cfg)).expect("config serializes"),
         serde_json::to_string(bench).expect("benchmark serializes"),
+    )
+}
+
+/// The stored name of a cache key: the hash of the code fingerprint and
+/// the key.
+fn entry_key(key: &str) -> String {
+    format!(
+        "{:016x}",
+        fnv1a64(format!("{}|{key}", fingerprint()).as_bytes())
     )
 }
 
@@ -663,8 +707,7 @@ mod tests {
         let cold: Vec<u64> = eng.cached("plant", "point", || vec![4, 5, 6]);
         assert_eq!(cold, vec![4, 5, 6]);
         // Truncate the planted entry to simulate a torn/corrupted file.
-        let key = format!("{:016x}", fnv1a64(b"point"));
-        let path = dir.join(format!("{key}.json"));
+        let path = dir.join(format!("{}.json", entry_key("point")));
         let text = std::fs::read_to_string(&path).expect("entry written");
         std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
 
@@ -690,6 +733,49 @@ mod tests {
         });
         let _: Vec<u64> = third.cached("healed", "point", || panic!("entry must be healed"));
         assert_eq!(third.cache_counts().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_same_key_writers_never_expose_a_partial_entry() {
+        let dir = scratch_dir("race");
+        let eng = Engine::new(EngineConfig {
+            disk_cache: Some(dir.clone()),
+            ..EngineConfig::default()
+        });
+        // Large enough that one write spans many syscalls.
+        let value: Vec<u64> = (0..50_000).map(|i| i * 7_919).collect();
+        let key = entry_key("race");
+        eng.disk_put(&key, &value);
+        let writing = AtomicUsize::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..40 {
+                        eng.disk_put(&key, &value);
+                    }
+                    writing.fetch_sub(1, Ordering::Relaxed);
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while writing.load(Ordering::Relaxed) > 0 {
+                        if let Some(read) = eng.disk_get::<Vec<u64>>(&key) {
+                            assert_eq!(read, value);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(eng.cache_counts().disk_decode_errors, 0);
+        let leftovers = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .filter(|e| {
+                e.as_ref()
+                    .is_ok_and(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            })
+            .count();
+        assert_eq!(leftovers, 0, "every temp file is renamed into place");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -507,7 +507,7 @@ impl CkptStore {
         p10_obs::counter("sampling.ckpt_bytes", bytes.len() as u64);
         if let Some(dir) = &self.dir {
             let _ = std::fs::create_dir_all(dir);
-            let tmp = dir.join(format!("{key}.tmp.{}", std::process::id()));
+            let tmp = runner::temp_path(dir, &key);
             if std::fs::write(&tmp, &bytes).is_ok() {
                 let _ = std::fs::rename(&tmp, dir.join(&key));
             }
@@ -553,7 +553,7 @@ impl CkptStore {
         if let Some(dir) = &self.dir {
             let _ = std::fs::create_dir_all(dir);
             if let Ok(text) = serde_json::to_string(&v) {
-                let tmp = dir.join(format!("{fname}.tmp.{}", std::process::id()));
+                let tmp = runner::temp_path(dir, &fname);
                 if std::fs::write(&tmp, text).is_ok() {
                     let _ = std::fs::rename(&tmp, dir.join(&fname));
                 }
@@ -624,11 +624,14 @@ fn views_sig(name: &str, views: &[TraceView]) -> u64 {
 
 /// The warm-equivalence-class key: configs whose
 /// [`crate::runner::warm_projection`] matches share checkpoints for the
-/// same trace and interval size.
+/// same trace and interval size. It starts with the code
+/// [`runner::fingerprint`], so checkpoints written by other warming code
+/// are never loaded (`P10WARM1` itself only checks the geometry).
 fn warm_class_key(cfg: &CoreConfig, name: &str, views: &[TraceView], interval_ops: usize) -> u64 {
     let proj = serde_json::to_string(&runner::warm_projection(cfg)).expect("config serializes");
     let vsig = views_sig(name, views);
-    runner::fnv1a64(format!("warm|{proj}|{vsig:016x}|{interval_ops}").as_bytes())
+    let fp = runner::fingerprint();
+    runner::fnv1a64(format!("{fp}|warm|{proj}|{vsig:016x}|{interval_ops}").as_bytes())
 }
 
 /// One interval of the partitioned run: per-thread zero-copy slices plus

@@ -4,6 +4,7 @@
 //! switching, and observed latch switching ratio — computed for any
 //! configuration over the suite.
 
+use crate::runner;
 use p10_rtlsim::{run_detailed, Roi, ToggleDensity};
 use p10_uarch::CoreConfig;
 use p10_workloads::Benchmark;
@@ -31,22 +32,26 @@ pub struct TrackingRow {
 }
 
 /// Computes the tracking row for one configuration over a suite subset.
+/// The detailed runs share the engine's worker pool; the suite means are
+/// summed in suite order, so the row is identical to a serial run.
 #[must_use]
 pub fn track(cfg: &CoreConfig, suite: &[Benchmark], seed: u64, ops: u64) -> TrackingRow {
+    let reports = runner::run_jobs_par(suite, |_, b| {
+        let trace = b.workload(seed).trace_view_or_panic(ops);
+        run_detailed(
+            cfg,
+            vec![trace],
+            Roi::new(500, ops * 40),
+            ToggleDensity::default(),
+        )
+    });
     let mut ipc = 0.0;
     let mut power = 0.0;
     let mut clock_pct = 0.0;
     let mut potential = 0.0;
     let mut observed = 0.0;
     let mut latches = 0.0;
-    for b in suite {
-        let trace = b.workload(seed).trace_view_or_panic(ops);
-        let r = run_detailed(
-            cfg,
-            vec![trace],
-            Roi::new(500, ops * 40),
-            ToggleDensity::default(),
-        );
+    for r in &reports {
         ipc += r.roi_activity.ipc();
         power += r.power.core_total();
         clock_pct += r.powerminer.clock_enable_pct;
