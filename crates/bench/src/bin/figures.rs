@@ -507,6 +507,13 @@ fn main() {
         }
     }
 
+    // Host memory: the process's peak resident set, in the same unit
+    // (KiB / 1024) as `getrusage`'s `ru_maxrss`. Linux only; elsewhere
+    // the gauge is absent.
+    if let Some(mb) = peak_rss_mb() {
+        p10_obs::gauge("process.peak_rss_mb", mb);
+    }
+
     // Flush thread-local buffers and print the run summary (phase wall
     // times, cache layer hits, per-worker job counts) on stderr — stdout
     // stays reserved for the deterministic experiment output.
@@ -562,6 +569,21 @@ fn main() {
 
     // Last: a Chrome-format trace buffers in memory and is written here.
     p10_obs::finalize();
+}
+
+/// The `VmHWM` (peak resident set) line of `/proc/self/status`, in MB
+/// (KiB / 1024); `None` where that file does not exist.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 /// Selects the baseline run for `obsreport`: `--baseline` as a 1-based

@@ -443,6 +443,38 @@ fn stdout_is_byte_identical_with_flight_recorder_enabled() {
     );
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn obs_summary_reports_peak_rss() {
+    let obs = scratch("rss", "obs.json");
+    let out = figures()
+        .args([
+            "table1",
+            "--ops",
+            "800",
+            "--no-cache",
+            "--no-ledger",
+            "--obs-json",
+        ])
+        .arg(&obs)
+        .output()
+        .expect("run figures");
+    assert!(out.status.success(), "run failed: {out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("process.peak_rss_mb"),
+        "the [obs] summary on stderr must show the gauge"
+    );
+    let text = std::fs::read_to_string(&obs).expect("obs json written");
+    let summary: p10_obs::Summary = serde_json::from_str(&text).expect("obs json parses");
+    let rss = summary
+        .gauges
+        .iter()
+        .find(|g| g.name == "process.peak_rss_mb")
+        .expect("process.peak_rss_mb gauge")
+        .value;
+    assert!(rss > 0.0, "peak RSS must be positive, got {rss}");
+}
+
 #[test]
 fn gate_flag_outside_obsreport_fails_loudly() {
     assert_usage_error(&["table1", "--gate", "50"], "--gate/--baseline");

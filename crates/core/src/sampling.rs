@@ -577,7 +577,7 @@ impl CkptStore {
 /// target/direction) to a signature buffer.
 fn sig_op(buf: &mut Vec<u8>, op: &DynOp) {
     buf.extend_from_slice(&op.pc.to_le_bytes());
-    match op.mem {
+    match op.mem() {
         Some(m) => {
             buf.extend_from_slice(&m.addr.to_le_bytes());
             buf.push(m.size);
@@ -587,7 +587,7 @@ fn sig_op(buf: &mut Vec<u8>, op: &DynOp) {
             buf.push(0);
         }
     }
-    match op.branch {
+    match op.branch() {
         Some(b) => {
             buf.extend_from_slice(&b.target.to_le_bytes());
             buf.push(u8::from(b.taken));
@@ -961,7 +961,7 @@ fn interval_features(iv: &Interval) -> Vec<f64> {
             }
             flops += u64::from(op.flops);
             prefixed += u64::from(op.prefixed);
-            if let Some(m) = op.mem {
+            if let Some(m) = op.mem() {
                 lines.insert(m.addr >> 7);
                 pages.insert(m.addr >> 12);
             }

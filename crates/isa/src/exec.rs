@@ -338,7 +338,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Load);
                 op.add_src(ra);
                 op.set_dst(rt);
-                op.mem = Some(MemRef { addr, size: 1 });
+                op.set_mem(MemRef { addr, size: 1 });
                 self.gpr[rt.index() as usize] = u64::from(self.mem.read_u8(addr));
             }
             Inst::Lwz { rt, ra, disp } => {
@@ -346,7 +346,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Load);
                 op.add_src(ra);
                 op.set_dst(rt);
-                op.mem = Some(MemRef { addr, size: 4 });
+                op.set_mem(MemRef { addr, size: 4 });
                 self.gpr[rt.index() as usize] = u64::from(self.mem.read_u32(addr));
             }
             Inst::Ld { rt, ra, disp } => {
@@ -354,7 +354,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Load);
                 op.add_src(ra);
                 op.set_dst(rt);
-                op.mem = Some(MemRef { addr, size: 8 });
+                op.set_mem(MemRef { addr, size: 8 });
                 self.gpr[rt.index() as usize] = self.mem.read_u64(addr);
             }
             Inst::Ldx { rt, ra, rb } => {
@@ -364,7 +364,7 @@ impl Machine {
                 op.add_src(ra);
                 op.add_src(rb);
                 op.set_dst(rt);
-                op.mem = Some(MemRef { addr, size: 8 });
+                op.set_mem(MemRef { addr, size: 8 });
                 self.gpr[rt.index() as usize] = self.mem.read_u64(addr);
             }
 
@@ -374,7 +374,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Store);
                 op.add_src(rs);
                 op.add_src(ra);
-                op.mem = Some(MemRef { addr, size: 1 });
+                op.set_mem(MemRef { addr, size: 1 });
                 self.mem.write_u8(addr, self.gpr[rs.index() as usize] as u8);
             }
             Inst::Stw { rs, ra, disp } => {
@@ -382,7 +382,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Store);
                 op.add_src(rs);
                 op.add_src(ra);
-                op.mem = Some(MemRef { addr, size: 4 });
+                op.set_mem(MemRef { addr, size: 4 });
                 self.mem
                     .write_u32(addr, self.gpr[rs.index() as usize] as u32);
             }
@@ -391,7 +391,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Store);
                 op.add_src(rs);
                 op.add_src(ra);
-                op.mem = Some(MemRef { addr, size: 8 });
+                op.set_mem(MemRef { addr, size: 8 });
                 self.mem.write_u64(addr, self.gpr[rs.index() as usize]);
             }
             Inst::Stdu { rs, ra, disp } => {
@@ -400,7 +400,7 @@ impl Machine {
                 op.add_src(rs);
                 op.add_src(ra);
                 op.set_dst(ra); // update form writes the base register
-                op.mem = Some(MemRef { addr, size: 8 });
+                op.set_mem(MemRef { addr, size: 8 });
                 self.mem.write_u64(addr, self.gpr[rs.index() as usize]);
                 self.gpr[ra.index() as usize] = addr;
             }
@@ -411,7 +411,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Load);
                 op.add_src(ra);
                 op.set_dst(xt);
-                op.mem = Some(MemRef { addr, size: 16 });
+                op.set_mem(MemRef { addr, size: 16 });
                 self.vsr[xt.index() as usize] = self.mem.read_u128_words(addr);
             }
             Inst::Lxvx { xt, ra, rb } => {
@@ -421,7 +421,7 @@ impl Machine {
                 op.add_src(ra);
                 op.add_src(rb);
                 op.set_dst(xt);
-                op.mem = Some(MemRef { addr, size: 16 });
+                op.set_mem(MemRef { addr, size: 16 });
                 self.vsr[xt.index() as usize] = self.mem.read_u128_words(addr);
             }
             Inst::Lxvp { xt, ra, disp } => {
@@ -430,7 +430,7 @@ impl Machine {
                 op.add_src(ra);
                 op.set_dst(xt);
                 op.set_dst2(Reg::vsr(xt.index() + 1));
-                op.mem = Some(MemRef { addr, size: 32 });
+                op.set_mem(MemRef { addr, size: 32 });
                 self.vsr[xt.index() as usize] = self.mem.read_u128_words(addr);
                 self.vsr[xt.index() as usize + 1] = self.mem.read_u128_words(addr + 16);
             }
@@ -441,7 +441,7 @@ impl Machine {
                 op.add_src(ra);
                 op.add_src(rb);
                 op.set_dst(xt);
-                op.mem = Some(MemRef { addr, size: 8 });
+                op.set_mem(MemRef { addr, size: 8 });
                 let d = self.mem.read_u64(addr);
                 self.vsr[xt.index() as usize] = [d, d];
             }
@@ -450,7 +450,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Store);
                 self.read_vsr_src(&mut op, xs.index());
                 op.add_src(ra);
-                op.mem = Some(MemRef { addr, size: 16 });
+                op.set_mem(MemRef { addr, size: 16 });
                 self.mem
                     .write_u128_words(addr, self.vsr[xs.index() as usize]);
             }
@@ -460,7 +460,7 @@ impl Machine {
                 self.read_vsr_src(&mut op, xs.index());
                 self.read_vsr_src(&mut op, xs.index() + 1);
                 op.add_src(ra);
-                op.mem = Some(MemRef { addr, size: 32 });
+                op.set_mem(MemRef { addr, size: 32 });
                 self.mem
                     .write_u128_words(addr, self.vsr[xs.index() as usize]);
                 self.mem
@@ -618,7 +618,7 @@ impl Machine {
             Inst::B { target } => {
                 let t = program.resolve(target);
                 op = DynOp::new(pc, OpClass::Branch);
-                op.branch = Some(BranchInfo {
+                op.set_branch(BranchInfo {
                     kind: BranchKind::Direct,
                     taken: true,
                     target: program.addr_of(t),
@@ -630,7 +630,7 @@ impl Machine {
                 let t = program.resolve(target);
                 op = DynOp::new(pc, OpClass::Branch);
                 op.add_src(bf);
-                op.branch = Some(BranchInfo {
+                op.set_branch(BranchInfo {
                     kind: BranchKind::Conditional,
                     taken,
                     target: if taken { program.addr_of(t) } else { seq_addr },
@@ -646,7 +646,7 @@ impl Machine {
                 op = DynOp::new(pc, OpClass::Branch);
                 op.add_src(Reg::ctr());
                 op.set_dst(Reg::ctr());
-                op.branch = Some(BranchInfo {
+                op.set_branch(BranchInfo {
                     kind: BranchKind::Counter,
                     taken,
                     target: if taken { program.addr_of(t) } else { seq_addr },
@@ -659,7 +659,7 @@ impl Machine {
                 let target = self.ctr;
                 op = DynOp::new(pc, OpClass::Branch);
                 op.add_src(Reg::ctr());
-                op.branch = Some(BranchInfo {
+                op.set_branch(BranchInfo {
                     kind: BranchKind::Indirect,
                     taken: true,
                     target,
@@ -671,7 +671,7 @@ impl Machine {
                 self.lr = seq_addr;
                 op = DynOp::new(pc, OpClass::Branch);
                 op.set_dst(Reg::lr());
-                op.branch = Some(BranchInfo {
+                op.set_branch(BranchInfo {
                     kind: BranchKind::Call,
                     taken: true,
                     target: program.addr_of(t),
@@ -682,7 +682,7 @@ impl Machine {
                 let target = self.lr;
                 op = DynOp::new(pc, OpClass::Branch);
                 op.add_src(Reg::lr());
-                op.branch = Some(BranchInfo {
+                op.set_branch(BranchInfo {
                     kind: BranchKind::Return,
                     taken: true,
                     target,
@@ -924,7 +924,7 @@ mod tests {
         b.bdnz(top);
         let (m, t) = run(b);
         assert_eq!(m.gpr(3), 4);
-        let branches: Vec<_> = t.ops.iter().filter_map(|o| o.branch).collect();
+        let branches: Vec<_> = t.ops.iter().filter_map(|o| o.branch()).collect();
         assert_eq!(branches.len(), 4);
         assert!(branches[..3].iter().all(|b| b.taken));
         assert!(!branches[3].taken);
@@ -941,7 +941,7 @@ mod tests {
         assert_eq!(m.gpr(3), 0x1234_5678);
         let loads: Vec<_> = t.ops.iter().filter(|o| o.is_load()).collect();
         assert_eq!(loads.len(), 1);
-        assert_eq!(loads[0].mem.unwrap().addr, 0x8010);
+        assert_eq!(loads[0].mem().unwrap().addr, 0x8010);
     }
 
     #[test]
@@ -977,12 +977,108 @@ mod tests {
         let kinds: Vec<_> = t
             .ops
             .iter()
-            .filter_map(|o| o.branch.map(|b| b.kind))
+            .filter_map(|o| o.branch().map(|b| b.kind))
             .collect();
         assert_eq!(
             kinds,
             vec![BranchKind::Call, BranchKind::Return, BranchKind::Return]
         );
+    }
+
+    /// Assembles and runs `src` to completion.
+    fn run_asm(src: &str) -> Trace {
+        let p = crate::asm::assemble(src).expect("listing assembles");
+        Machine::new()
+            .run(&p, 100_000)
+            .expect("program must execute")
+    }
+
+    #[test]
+    fn every_memory_form_records_its_access_and_no_branch() {
+        // (form, effective address, access size) with r1 = 0x8000,
+        // r2 = 0x40, r5 = 0x9000.
+        let forms = [
+            ("lbz r3, 1(r1)", 0x8001, 1),
+            ("lwz r3, 4(r1)", 0x8004, 4),
+            ("ld r3, 8(r1)", 0x8008, 8),
+            ("ldx r3, r1, r2", 0x8040, 8),
+            ("stb r3, 1(r1)", 0x8001, 1),
+            ("stw r3, 4(r1)", 0x8004, 4),
+            ("std r3, 8(r1)", 0x8008, 8),
+            ("stdu r3, -32(r5)", 0x9000 - 32, 8),
+            ("lxv vs40, 16(r1)", 0x8010, 16),
+            ("lxvx vs40, r1, r2", 0x8040, 16),
+            ("lxvp vs40, 32(r1)", 0x8020, 32),
+            ("lxvdsx vs42, r1, r2", 0x8040, 8),
+            ("stxv vs40, 16(r1)", 0x8010, 16),
+            ("stxvp vs40, 32(r1)", 0x8020, 32),
+        ];
+        let mut src = String::from("li r1, 0x8000\nli r2, 0x40\nli r5, 0x9000\n");
+        for (form, _, _) in forms {
+            src += form;
+            src.push('\n');
+        }
+        let t = run_asm(&src);
+        let mem_ops: Vec<_> = t
+            .ops
+            .iter()
+            .filter(|o| o.is_load() || o.is_store())
+            .collect();
+        assert_eq!(mem_ops.len(), forms.len());
+        for (op, (form, addr, size)) in mem_ops.iter().zip(forms) {
+            assert_eq!(op.mem(), Some(MemRef { addr, size }), "{form}");
+            assert_eq!(op.branch(), None, "{form}");
+        }
+        assert!(t
+            .ops
+            .iter()
+            .all(|o| o.is_load() || o.is_store() || o.mem().is_none()));
+    }
+
+    #[test]
+    fn every_branch_form_records_its_outcome_and_no_access() {
+        let t = run_asm(
+            "
+                mflr r10            # save HALT_ADDR
+                bl func
+                li r4, 2
+                mtctr r4
+            top:
+                bdnz top
+                cmpdi cr0, r4, 2
+                bc eq, cr0, l1
+            l1: b l2
+            l2: mtctr r10
+                bctr                # to HALT_ADDR: ends the run
+            func:
+                blr
+            ",
+        );
+        let outcomes: Vec<_> = t
+            .ops
+            .iter()
+            .filter(|o| o.is_branch())
+            .map(|o| {
+                assert_eq!(o.mem(), None);
+                let info = o.branch().expect("branch op records its outcome");
+                (info.kind, info.taken)
+            })
+            .collect();
+        assert_eq!(
+            outcomes,
+            vec![
+                (BranchKind::Call, true),
+                (BranchKind::Return, true),
+                (BranchKind::Counter, true),
+                (BranchKind::Counter, false),
+                (BranchKind::Conditional, true),
+                (BranchKind::Direct, true),
+                (BranchKind::Indirect, true),
+            ]
+        );
+        let last = t.ops.last().unwrap().branch().unwrap();
+        assert_eq!(last.target, HALT_ADDR);
+        assert!(t.ops.iter().all(|o| o.is_branch() || o.branch().is_none()));
     }
 
     #[test]
@@ -1254,7 +1350,7 @@ mod tests {
         assert_eq!(m.vsr(40), [1, 2]);
         assert_eq!(m.vsr(41), [3, 4]);
         let ld = t.ops.iter().find(|o| o.is_load()).unwrap();
-        assert_eq!(ld.mem.unwrap().size, 32);
+        assert_eq!(ld.mem().unwrap().size, 32);
         assert_eq!(ld.dest2(), Some(Reg::vsr(41)));
     }
 

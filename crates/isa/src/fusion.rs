@@ -117,7 +117,7 @@ fn addrgen_load(a: &DynOp, b: &DynOp) -> Option<FusionKind> {
 }
 
 fn store_pair(a: &DynOp, b: &DynOp) -> Option<FusionKind> {
-    let (ma, mb) = (a.mem?, b.mem?);
+    let (ma, mb) = (a.mem()?, b.mem()?);
     if !a.is_store() || !b.is_store() {
         return None;
     }
@@ -132,7 +132,7 @@ fn store_pair(a: &DynOp, b: &DynOp) -> Option<FusionKind> {
 /// entry (true when both stores are eight bytes or fewer).
 #[must_use]
 pub fn store_pair_single_sq_entry(a: &DynOp, b: &DynOp) -> bool {
-    matches!((a.mem, b.mem), (Some(ma), Some(mb)) if ma.size <= 8 && mb.size <= 8)
+    matches!((a.mem(), b.mem()), (Some(ma), Some(mb)) if ma.size <= 8 && mb.size <= 8)
 }
 
 #[cfg(test)]
@@ -151,7 +151,7 @@ mod tests {
 
     fn store(addr: u64, size: u8) -> DynOp {
         let mut op = DynOp::new(0, OpClass::Store);
-        op.mem = Some(MemRef { addr, size });
+        op.set_mem(MemRef { addr, size });
         op
     }
 
@@ -160,7 +160,7 @@ mod tests {
         let cmp = alu(Reg::cr(0), &[Reg::gpr(3)]);
         let mut br = DynOp::new(4, OpClass::Branch);
         br.add_src(Reg::cr(0));
-        br.branch = Some(BranchInfo {
+        br.set_branch(BranchInfo {
             kind: BranchKind::Conditional,
             taken: true,
             target: 0x100,
@@ -196,7 +196,7 @@ mod tests {
         let mut ld = DynOp::new(4, OpClass::Load);
         ld.add_src(Reg::gpr(7));
         ld.set_dst(Reg::gpr(8));
-        ld.mem = Some(MemRef { addr: 64, size: 8 });
+        ld.set_mem(MemRef { addr: 64, size: 8 });
         assert_eq!(classify_pair(&a, &ld), Some(FusionKind::AddrGenLoad));
     }
 
@@ -232,7 +232,7 @@ mod tests {
         mv.set_dst(Reg::ctr());
         let mut br = DynOp::new(4, OpClass::Branch);
         br.add_src(Reg::ctr());
-        br.branch = Some(BranchInfo {
+        br.set_branch(BranchInfo {
             kind: BranchKind::Indirect,
             taken: true,
             target: 0x200,

@@ -47,7 +47,7 @@ pub enum SmtMode {
 impl SmtMode {
     /// Number of hardware threads.
     #[must_use]
-    pub fn threads(self) -> usize {
+    pub const fn threads(self) -> usize {
         match self {
             SmtMode::St => 1,
             SmtMode::Smt2 => 2,

@@ -14,7 +14,7 @@
 
 use crate::branch::BranchPredictor;
 use crate::cache::MemHierarchy;
-use crate::config::{CoreConfig, Scheduler};
+use crate::config::{CoreConfig, Scheduler, SmtMode};
 use crate::stats::{Activity, CycleAttribution, SimResult};
 use crate::tlb::{Mmu, TranslateSide};
 use p10_isa::fusion::{self, FusionKind};
@@ -97,6 +97,10 @@ impl<F: FnMut(u64, &Activity)> SpanObserver for PerCycleObserver<F> {
 type Observer<'a> = Option<&'a mut dyn SpanObserver>;
 
 const NO_SLOT: u32 = u32::MAX;
+
+/// Most hardware threads any [`SmtMode`] runs (`run_inner` asserts the
+/// bound), so per-cycle thread scratch fits a stack array.
+const MAX_THREADS: usize = SmtMode::Smt4.threads();
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UopState {
@@ -753,7 +757,7 @@ impl Core {
                 self.threads[tid].lq_used -= 1;
             }
             OpClass::Store => {
-                let m = op.mem.expect("store has mem");
+                let m = op.mem().expect("store has mem");
                 // Store gathering: merge with the tail of the drain queue
                 // when adjacent (POWER10), retiring up to two SQ entries
                 // per cycle worth of work in one drain slot.
@@ -1290,7 +1294,7 @@ impl Core {
 
     fn issue_load(&mut self, slot: u32, tid: usize) -> u64 {
         let op = self.slab[slot as usize].op;
-        let m = op.mem.expect("load has mem");
+        let m = op.mem().expect("load has mem");
         let seq = self.slab[slot as usize].seq;
 
         // Translation policy: RA-tagged L1 translates on every access.
@@ -1352,7 +1356,7 @@ impl Core {
 
     fn issue_store(&mut self, slot: u32, tid: usize) -> u64 {
         let op = self.slab[slot as usize].op;
-        let m = op.mem.expect("store has mem");
+        let m = op.mem().expect("store has mem");
         let seq = self.slab[slot as usize].seq;
         let mut extra = 0u64;
         if !self.cfg.ea_tagged_l1 {
@@ -1378,7 +1382,7 @@ impl Core {
     fn decode_dispatch(&mut self) {
         let mut budget = self.cfg.decode_width;
         let n = self.threads.len();
-        let mut blocked = vec![false; n];
+        let mut blocked = [false; MAX_THREADS];
         let mut progressed = true;
         while budget > 0 && progressed {
             progressed = false;
@@ -1574,7 +1578,7 @@ impl Core {
         }
         t.rob.push_back(slot);
         if f.op.is_store() {
-            let m = f.op.mem.expect("store has mem");
+            let m = f.op.mem().expect("store has mem");
             t.store_window.push_back((seq, m.addr, m.size, false));
         }
         self.window_used += 1;
@@ -1597,12 +1601,14 @@ impl Core {
                 }
             }
             crate::config::FetchPolicy::ICount => {
-                // Fewest in-flight (fetch buffer + ROB) first.
-                let mut order: Vec<usize> = (0..n).collect();
+                // Fewest in-flight (fetch buffer + ROB) first; the sort is
+                // stable, so ties keep thread order.
+                let mut order: [usize; MAX_THREADS] = std::array::from_fn(|t| t);
+                let order = &mut order[..n];
                 order.sort_by_key(|&t| {
                     self.threads[t].fetch_buffer.len() + self.threads[t].rob.len()
                 });
-                for tid in order {
+                for &tid in &*order {
                     self.fetch_thread(tid);
                 }
             }
@@ -1660,7 +1666,7 @@ impl Core {
             self.act.fetched += 1;
 
             let mut mispredicted = false;
-            if let Some(info) = op.branch {
+            if let Some(info) = op.branch() {
                 let fallthrough = op.pc + 4;
                 let pred = self
                     .predictor
@@ -1675,7 +1681,7 @@ impl Core {
                 mispredicted,
                 fetch_cycle: self.cycle,
             };
-            let is_taken_branch = op.branch.is_some_and(|b| b.taken);
+            let is_taken_branch = op.branch().is_some_and(|b| b.taken);
             self.threads[tid].fetch_buffer.push_back(fetched);
             if mispredicted {
                 // Fetch stalls here until the branch resolves; at most one

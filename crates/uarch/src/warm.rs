@@ -109,12 +109,12 @@ impl FunctionalWarmer {
                 .translate(op.pc, TranslateSide::Inst, &mut self.scratch);
             self.state.mem.access_inst(op.pc, &mut self.scratch);
         }
-        if let Some(info) = op.branch {
+        if let Some(info) = op.branch() {
             self.state
                 .predictor
                 .predict_and_train(tid, op.pc, &info, op.pc + 4);
         }
-        if let Some(m) = op.mem {
+        if let Some(m) = op.mem() {
             self.state
                 .mmu
                 .translate(m.addr, TranslateSide::Data, &mut self.scratch);
@@ -225,7 +225,7 @@ mod tests {
         let ops: Vec<DynOp> = (0..lines)
             .map(|i| {
                 let mut op = DynOp::new(i * 4, OpClass::Load);
-                op.mem = Some(MemRef {
+                op.set_mem(MemRef {
                     addr: (i * 131) % lines * 128,
                     size: 8,
                 });

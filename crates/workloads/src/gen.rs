@@ -594,7 +594,7 @@ mod tests {
             .ops
             .iter()
             .filter(|o| {
-                o.branch
+                o.branch()
                     .is_some_and(|bi| bi.kind == p10_isa::BranchKind::Indirect)
             })
             .count();
@@ -612,7 +612,7 @@ mod tests {
             .ops
             .iter()
             .filter(|o| {
-                o.branch
+                o.branch()
                     .is_some_and(|bi| bi.kind == p10_isa::BranchKind::Call)
             })
             .count();
@@ -620,7 +620,7 @@ mod tests {
             .ops
             .iter()
             .filter(|o| {
-                o.branch
+                o.branch()
                     .is_some_and(|bi| bi.kind == p10_isa::BranchKind::Return)
             })
             .count();
@@ -641,7 +641,7 @@ mod tests {
             .ops
             .iter()
             .filter(|o| o.is_load())
-            .filter_map(|o| o.mem)
+            .filter_map(|o| o.mem())
             .map(|m| m.addr)
             .collect();
         assert!(chase_addrs.len() > 100);
@@ -685,7 +685,7 @@ mod tests {
         let cond: Vec<bool> = t
             .ops
             .iter()
-            .filter_map(|o| o.branch)
+            .filter_map(|o| o.branch())
             .filter(|bi| bi.kind == p10_isa::BranchKind::Conditional)
             .map(|bi| bi.taken)
             .collect();
