@@ -98,6 +98,14 @@ type Observer<'a> = Option<&'a mut dyn SpanObserver>;
 
 const NO_SLOT: u32 = u32::MAX;
 
+/// Debug builds rebuild the whole issue window from the ROBs every this
+/// many cycles; cheaper invariants run every cycle. A rebuild walks every
+/// in-flight op, and doing it every cycle slows debug-build simulation
+/// enough to upset tests that time it (`p10-apex`'s
+/// `apex_is_much_faster_than_detailed`).
+#[cfg(debug_assertions)]
+const FULL_WINDOW_CHECK_PERIOD: u64 = 8;
+
 /// Most hardware threads any [`SmtMode`] runs (`run_inner` asserts the
 /// bound), so per-cycle thread scratch fits a stack array.
 const MAX_THREADS: usize = SmtMode::Smt4.threads();
@@ -127,11 +135,33 @@ struct InFlight {
     /// of a fused pair that shares its head's entry).
     owns_sq: bool,
     active: bool,
-    /// Producers still outstanding (event-driven scheduler only).
+}
+
+/// The hot scheduling fields of one slab slot (event-driven scheduler
+/// only), kept in a dense array beside the slab so wakeup and select
+/// touch one 16-byte record per op instead of its [`InFlight`].
+#[derive(Debug, Clone, Copy)]
+struct SchedSlot {
+    seq: u64,
+    class: OpClass,
+    tid: u8,
+    /// Producers still outstanding.
     waiting_on: u8,
-    /// All producers resolved and the op is still waiting to issue
-    /// (event-driven scheduler only; mirrors `deps_ready`).
+    /// Dispatched and not yet issued (mirrors `UopState::Waiting`).
+    waiting: bool,
+    /// Waiting with all producers resolved (mirrors `deps_ready`).
     ready: bool,
+}
+
+impl SchedSlot {
+    const EMPTY: SchedSlot = SchedSlot {
+        seq: 0,
+        class: OpClass::Nop,
+        tid: 0,
+        waiting_on: 0,
+        waiting: false,
+        ready: false,
+    };
 }
 
 #[derive(Debug, Clone)]
@@ -147,8 +177,8 @@ struct ThreadState {
     fetch_idx: usize,
     fetch_buffer: VecDeque<FetchedOp>,
     fetch_stall_until: u64,
-    /// Sequence number of an in-flight mispredicted branch blocking fetch.
-    mispredict_pending: Option<u64>,
+    /// An in-flight mispredicted branch blocks fetch.
+    mispredict_pending: bool,
     completed: u64,
     rob: VecDeque<u32>,
     lq_used: u32,
@@ -166,7 +196,7 @@ impl ThreadState {
             fetch_idx: 0,
             fetch_buffer: VecDeque::new(),
             fetch_stall_until: 0,
-            mispredict_pending: None,
+            mispredict_pending: false,
             completed: 0,
             rob: VecDeque::new(),
             lq_used: 0,
@@ -210,14 +240,25 @@ pub struct Core {
     attr: CycleAttribution,
     threads: Vec<ThreadState>,
     slab: Vec<InFlight>,
+    /// Hot scheduling records, parallel to `slab` (event-driven only).
+    sched: Vec<SchedSlot>,
     free_slots: Vec<u32>,
     /// Program-order issue candidates as (slot, seq); an entry is live
-    /// while the slot still holds that seq and the op is waiting. The seq
-    /// tag lets the event-driven scheduler compact the queue lazily
-    /// without confusing a recycled slot with the op that vacated it.
+    /// while the slot still holds that seq and the op is waiting. Polled
+    /// scheduler only: it compacts the queue and rescans it every cycle.
     issue_order: VecDeque<(u32, u64)>,
-    /// Entries of `issue_order` whose op already issued (lazy compaction).
-    issue_order_dead: usize,
+    /// Event-driven issue window: how many of the oldest waiting ops lie
+    /// within the `issue_lookahead` reach (`min(reach, waiting ops)`
+    /// between select passes). Window members are exactly the waiting
+    /// ops older than `past_reach`'s front.
+    in_reach: u32,
+    /// Waiting ops beyond the reach as (seq, slot), oldest first
+    /// (event-driven only). Every entry is younger than every op in the
+    /// window, so ops only ever enter the window from the front.
+    past_reach: VecDeque<(u64, u32)>,
+    /// Ready window members as (seq, slot), oldest first (event-driven
+    /// only) — the ops the select loop visits.
+    ready_in_reach: Vec<(u64, u32)>,
     window_used: u32,
     issue_queue_used: u32,
     cycle: u64,
@@ -239,12 +280,9 @@ pub struct Core {
     /// registered at dispatch, fired on the producer's Done transition.
     /// Event-driven scheduler only.
     wakeup: Vec<Vec<(u32, u64)>>,
-    /// Number of waiting ops whose producers are all resolved.
-    /// Event-driven scheduler only.
-    ready_count: u32,
     /// Scratch: threads with a mispredicted branch resolving this cycle.
     scratch_resolved: Vec<(usize, u64)>,
-    /// Scratch: issue candidates for the current cycle.
+    /// Scratch: issue candidates for the current cycle (polled only).
     scratch_slots: Vec<u32>,
 }
 
@@ -260,9 +298,12 @@ impl Core {
             attr: CycleAttribution::default(),
             threads: Vec::new(),
             slab: Vec::new(),
+            sched: Vec::new(),
             free_slots: Vec::new(),
             issue_order: VecDeque::new(),
-            issue_order_dead: 0,
+            in_reach: 0,
+            past_reach: VecDeque::new(),
+            ready_in_reach: Vec::new(),
             window_used: 0,
             issue_queue_used: 0,
             cycle: 0,
@@ -275,7 +316,6 @@ impl Core {
             rr_offset: 0,
             calendar: BinaryHeap::new(),
             wakeup: Vec::new(),
-            ready_count: 0,
             scratch_resolved: Vec::new(),
             scratch_slots: Vec::new(),
             cfg,
@@ -495,7 +535,7 @@ impl Core {
         // readiness test, so idling over it is exact. The candidate
         // window is static across the skipped stretch — nothing
         // dispatches, issues, retires or wakes before the horizon.
-        if self.ready_count != 0 && self.ready_within_reach() {
+        if !self.ready_in_reach.is_empty() {
             return;
         }
         if self.threads.iter().all(ThreadState::fully_done) {
@@ -524,7 +564,7 @@ impl Core {
             }
             let t = &self.threads[tid];
             if !t.fetch_done()
-                && t.mispredict_pending.is_none()
+                && !t.mispredict_pending
                 && t.fetch_buffer.len() < self.cfg.fetch_buffer as usize
             {
                 if t.fetch_stall_until > self.cycle + 1 {
@@ -876,15 +916,20 @@ impl Core {
     fn fire_wakeups(&mut self, producer: u32) {
         let mut list = std::mem::take(&mut self.wakeup[producer as usize]);
         for (cslot, cseq) in list.drain(..) {
-            let c = &mut self.slab[cslot as usize];
+            let c = &mut self.sched[cslot as usize];
             // A consumer may have left Waiting already (fused-pair partner
             // issued with its head); its remaining registrations are moot.
-            if c.active && c.seq == cseq && c.state == UopState::Waiting {
+            if c.seq == cseq && c.waiting {
                 c.waiting_on -= 1;
                 if c.waiting_on == 0 {
                     debug_assert!(!c.ready);
                     c.ready = true;
-                    self.ready_count += 1;
+                    // An op past the reach joins the ready list when the
+                    // window refills up to it.
+                    if self.past_reach.front().is_none_or(|&(q, _)| cseq < q) {
+                        let at = self.ready_in_reach.partition_point(|&(q, _)| q < cseq);
+                        self.ready_in_reach.insert(at, (cseq, cslot));
+                    }
                 }
             }
         }
@@ -900,7 +945,7 @@ impl Core {
             let t = &mut self.threads[tid];
             // Fetch stops at the first mispredicted branch, so at most one
             // is in flight per thread; resolving it unblocks fetch.
-            t.mispredict_pending = None;
+            t.mispredict_pending = false;
             let penalty = u64::from(self.predictor.mispredict_penalty());
             t.fetch_stall_until = t.fetch_stall_until.max(self.cycle + penalty);
             self.act.branch_mispredicts += 1;
@@ -935,46 +980,52 @@ impl Core {
             .all(|&d| d.0 == NO_SLOT || Some(d.0) == ignore || self.dep_ready(d))
     }
 
-    #[allow(clippy::too_many_lines)]
     fn issue(&mut self) -> IssueSummary {
-        let mut int_left = self.cfg.int_slices;
-        let mut branch_left = self.cfg.branch_slices;
-        let mut vsx_left = self.cfg.vsx_units;
-        let mut load_left = self.cfg.load_ports;
-        let mut store_left = self.cfg.store_ports;
-        let mut mma_lanes_left = self.cfg.mma.map_or(0, |m| m.grid_lanes);
-        let mut mma_move_left = 1u32;
-        let mut issued_any = false;
-        let mut saw_ready = false;
-        let mut mma_active = false;
-
-        let event_driven = self.event_driven();
-        if event_driven {
-            self.compact_issue_order();
-            if self.ready_count == 0 {
-                // No waiting op has its producers resolved, so nothing can
-                // issue and none of the side effects below (MMA demand
-                // wake, wake-stall accounting) can trigger either. The
-                // polled scheduler's candidate scan would find no ready op
-                // either, so `saw_ready: false` is scheduler-identical.
-                return IssueSummary {
-                    issued_any: false,
-                    saw_ready: false,
-                };
-            }
-        } else {
-            // Reference behavior: compact the queue every cycle.
-            let slab = &self.slab;
-            self.issue_order.retain(|&(s, q)| {
-                let e = &slab[s as usize];
-                e.active && e.seq == q && e.state == UopState::Waiting
-            });
-            self.issue_order_dead = 0;
+        let mut units = IssueUnits {
+            int: self.cfg.int_slices,
+            branch: self.cfg.branch_slices,
+            vsx: self.cfg.vsx_units,
+            load: self.cfg.load_ports,
+            store: self.cfg.store_ports,
+            mma_lanes: self.cfg.mma.map_or(0, |m| m.grid_lanes),
+            mma_move: 1,
+            issued_any: false,
+            mma_active: false,
+        };
+        let saw_ready = match self.cfg.scheduler {
+            Scheduler::Polled => self.select_polled(&mut units),
+            Scheduler::EventDriven => self.select_event(&mut units),
+        };
+        if units.issued_any {
+            self.act.active_cycles += 1;
         }
+        if units.mma_active {
+            self.act.mma_active_cycles += 1;
+        }
+        IssueSummary {
+            issued_any: units.issued_any,
+            saw_ready,
+        }
+    }
 
-        // The scheduler considers the oldest `reach` still-waiting ops —
-        // ready or not — mirroring a real select network's span.
-        let reach = self.cfg.issue_lookahead.max(1) as usize;
+    /// The issue lookahead: how many of the oldest still-waiting ops —
+    /// ready or not — the select network sees, mirroring a real select
+    /// network's span.
+    fn reach(&self) -> u32 {
+        self.cfg.issue_lookahead.max(1)
+    }
+
+    /// Reference select (polled scheduler): compact `issue_order` and
+    /// rescan its oldest `reach` entries every cycle. Returns whether any
+    /// candidate was ready.
+    fn select_polled(&mut self, units: &mut IssueUnits) -> bool {
+        let slab = &self.slab;
+        self.issue_order.retain(|&(s, q)| {
+            let e = &slab[s as usize];
+            e.active && e.seq == q && e.state == UopState::Waiting
+        });
+
+        let reach = self.reach() as usize;
         self.scratch_slots.clear();
         for &(s, q) in &self.issue_order {
             if self.scratch_slots.len() >= reach {
@@ -985,6 +1036,7 @@ impl Core {
                 self.scratch_slots.push(s);
             }
         }
+        let mut saw_ready = false;
         for i in 0..self.scratch_slots.len() {
             let slot = self.scratch_slots[i];
             let (class, tid) = {
@@ -994,229 +1046,295 @@ impl Core {
                 }
                 (e.op.class, usize::from(e.tid))
             };
-            let ready = if event_driven {
-                let r = self.slab[slot as usize].ready;
-                debug_assert_eq!(r, self.deps_ready(slot, None));
-                r
-            } else {
-                self.deps_ready(slot, None)
-            };
-            if !ready {
+            if !self.deps_ready(slot, None) {
                 continue;
             }
             saw_ready = true;
+            self.select(slot, class, tid, units);
+        }
+        saw_ready
+    }
 
-            let done_at = match class {
-                OpClass::Hint => {
-                    // The architected MMA wake-up hint powers the unit on
-                    // ahead of use, hiding the wake latency (§IV-A).
-                    if self.cfg.mma.is_some() {
-                        self.power_mma_on();
-                    }
-                    Some(self.cycle)
-                }
-                OpClass::Nop => Some(self.cycle), // complete immediately
-                OpClass::IntAlu | OpClass::MoveSpr => {
-                    if int_left > 0 {
-                        int_left -= 1;
-                        Some(self.cycle + 1)
-                    } else {
-                        None
-                    }
-                }
-                OpClass::IntMul => {
-                    if int_left > 0 {
-                        int_left -= 1;
-                        Some(self.cycle + u64::from(self.cfg.mul_latency))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::IntDiv => {
-                    if int_left > 0 && self.div_busy_until <= self.cycle {
-                        int_left -= 1;
-                        self.div_busy_until = self.cycle + u64::from(self.cfg.div_latency);
-                        Some(self.cycle + u64::from(self.cfg.div_latency))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::Branch => {
-                    if branch_left > 0 {
-                        branch_left -= 1;
-                        Some(self.cycle + 1)
-                    } else {
-                        None
-                    }
-                }
-                OpClass::VsxSimple => {
-                    if vsx_left > 0 {
-                        vsx_left -= 1;
-                        Some(self.cycle + 2)
-                    } else {
-                        None
-                    }
-                }
-                OpClass::VsxFp => {
-                    if vsx_left > 0 {
-                        vsx_left -= 1;
-                        Some(self.cycle + u64::from(self.cfg.vsx_fp_latency))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::Mma(kind) => {
-                    let lanes = match kind {
-                        MmaKind::F64 => 8,
-                        MmaKind::F32 | MmaKind::Bf16 | MmaKind::I8 => 16,
-                    };
-                    let mma = self.cfg.mma.expect("mma op requires mma unit");
-                    if !self.mma_powered_on() {
-                        // Demand wake: the op waits out the power-on.
-                        self.power_mma_on();
-                        self.act.mma_wake_stall_cycles += 1;
-                        None
-                    } else if mma_lanes_left >= lanes {
-                        mma_lanes_left -= lanes;
-                        mma_active = true;
-                        self.mma_last_use = self.cycle;
-                        // Back-to-back accumulator chaining is short; the
-                        // full result latency applies to non-acc consumers
-                        // (xxmfacc), modeled via the MmaMove latency below.
-                        Some(self.cycle + u64::from(mma.acc_chain_latency))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::MmaMove => {
-                    if self.cfg.mma.is_some() && !self.mma_powered_on() {
-                        self.power_mma_on();
-                        self.act.mma_wake_stall_cycles += 1;
-                        None
-                    } else if mma_move_left > 0 {
-                        mma_move_left -= 1;
-                        let lat = self.cfg.mma.map_or(2, |m| u64::from(m.result_latency));
-                        self.mma_last_use = self.cycle;
-                        Some(self.cycle + lat)
-                    } else {
-                        None
-                    }
-                }
-                OpClass::Load => {
-                    if load_left > 0 && (self.lmq.len() as u32) < self.cfg.load_miss_queue {
-                        load_left -= 1;
-                        Some(self.issue_load(slot, tid))
-                    } else {
-                        None
-                    }
-                }
-                OpClass::Store => {
-                    if store_left > 0 {
-                        store_left -= 1;
-                        Some(self.issue_store(slot, tid))
-                    } else {
-                        None
-                    }
-                }
+    /// Incremental select (event-driven scheduler): visit only the ready
+    /// ops inside the reach, oldest first — the same ops, in the same
+    /// order, the polled scan finds ready — then refill the window.
+    /// Returns whether any candidate was ready.
+    fn select_event(&mut self, units: &mut IssueUnits) -> bool {
+        #[cfg(debug_assertions)]
+        self.cross_check_issue_window();
+        if self.ready_in_reach.is_empty() {
+            // Nothing can issue, and none of the side effects in `select`
+            // (MMA demand wake, wake-stall accounting) can trigger.
+            return false;
+        }
+        // The window is the one the cycle started with: ops that enter it
+        // as others issue are visited next cycle (`refill_reach` runs
+        // after the loop), as in the polled scan.
+        for i in 0..self.ready_in_reach.len() {
+            let (_, slot) = self.ready_in_reach[i];
+            let s = self.sched[slot as usize];
+            if !s.ready {
+                continue; // started this cycle with its fused head
+            }
+            self.select(slot, s.class, usize::from(s.tid), units);
+        }
+        let sched = &self.sched;
+        self.ready_in_reach
+            .retain(|&(_, s)| sched[s as usize].ready);
+        self.refill_reach();
+        true
+    }
+
+    /// Tops the event-driven issue window back up to `reach` waiting ops
+    /// from the oldest ops past it.
+    fn refill_reach(&mut self) {
+        let reach = self.reach();
+        while self.in_reach < reach {
+            let Some((seq, slot)) = self.past_reach.pop_front() else {
+                break;
             };
-
-            let Some(done_at) = done_at else { continue };
-            issued_any = true;
-            self.start_execution(slot, done_at);
-
-            // Fused pair: if the partner's other deps are ready, execute it
-            // together with the head (zero-latency dependent execution).
-            let pair = self.slab[slot as usize].pair;
-            if pair != NO_SLOT {
-                let p = &self.slab[pair as usize];
-                if p.active && p.state == UopState::Waiting && self.deps_ready(pair, Some(slot)) {
-                    let pair_class = self.slab[pair as usize].op.class;
-                    let pair_done = match pair_class {
-                        // A fused dependent op finishes with its head.
-                        OpClass::Store => {
-                            // Second of a fused store pair: shares the
-                            // head's address-generation; mark executed.
-                            let seq = self.slab[pair as usize].seq;
-                            if let Some(s) = self.threads[tid]
-                                .store_window
-                                .iter_mut()
-                                .find(|s| s.0 == seq)
-                            {
-                                s.3 = true;
-                            }
-                            self.act.stores += 1;
-                            done_at
-                        }
-                        OpClass::Branch => {
-                            self.act.branch_ops += 1;
-                            done_at
-                        }
-                        _ => {
-                            self.act.alu_ops += 1;
-                            done_at
-                        }
-                    };
-                    self.start_execution_quiet(pair, pair_done);
-                    self.act.issued += 1;
-                }
+            self.in_reach += 1;
+            if self.sched[slot as usize].ready {
+                self.ready_in_reach.push((seq, slot));
             }
-        }
-
-        if issued_any {
-            self.act.active_cycles += 1;
-        }
-        if mma_active {
-            self.act.mma_active_cycles += 1;
-        }
-        IssueSummary {
-            issued_any,
-            saw_ready,
         }
     }
 
-    /// Lazy issue-order compaction (event-driven scheduler): drop dead
-    /// entries from the front, and rebuild the queue once more than half
-    /// of it is dead so candidate enumeration stays O(lookahead).
-    fn compact_issue_order(&mut self) {
-        let slab = &self.slab;
-        let live = |&(s, q): &(u32, u64)| -> bool {
-            let e = &slab[s as usize];
-            e.active && e.seq == q && e.state == UopState::Waiting
-        };
-        while let Some(front) = self.issue_order.front() {
-            if live(front) {
-                break;
-            }
-            self.issue_order.pop_front();
-            self.issue_order_dead = self.issue_order_dead.saturating_sub(1);
-        }
-        if self.issue_order_dead * 2 > self.issue_order.len() {
-            self.issue_order.retain(live);
-            self.issue_order_dead = 0;
-        }
-    }
-
-    /// Whether any ready op sits inside the issue-lookahead window, i.e.
-    /// among the oldest `reach` still-waiting entries of `issue_order` —
-    /// the same candidate set `issue` enumerates. Ready ops beyond it
-    /// (say, a resolved branch queued behind a long miss chain) cannot
-    /// issue and do not make the cycle actionable.
-    fn ready_within_reach(&self) -> bool {
-        let reach = self.cfg.issue_lookahead.max(1) as usize;
-        let mut seen = 0usize;
-        for &(s, q) in &self.issue_order {
-            if seen >= reach {
-                break;
-            }
+    /// Debug-build cross-check of the incremental issue window. Every
+    /// select pass checks what it is about to use: `ready_in_reach` is
+    /// strictly ascending and holds only window members whose ready bit
+    /// equals a full dependency scan, and the window is full whenever
+    /// ops wait past it. Every [`FULL_WINDOW_CHECK_PERIOD`]th cycle it
+    /// also rebuilds the candidate set the polled scan enumerates — the
+    /// oldest `reach` waiting ops — from the threads' ROBs and asserts
+    /// the window size, `past_reach` and the ready list match it.
+    #[cfg(debug_assertions)]
+    fn cross_check_issue_window(&self) {
+        let front = self.past_reach.front().map_or(u64::MAX, |&(q, _)| q);
+        let member = |&(q, s): &(u64, u32)| {
             let e = &self.slab[s as usize];
-            if e.active && e.seq == q && e.state == UopState::Waiting {
-                if e.ready {
-                    return true;
-                }
-                seen += 1;
+            let r = &self.sched[s as usize];
+            e.active
+                && e.seq == q
+                && e.state == UopState::Waiting
+                && r.seq == q
+                && r.waiting
+                && q < front
+        };
+        assert!(
+            self.ready_in_reach
+                .iter()
+                .all(|x| member(x) && self.deps_ready(x.1, None))
+                && self.ready_in_reach.windows(2).all(|w| w[0].0 < w[1].0),
+            "ready list must hold ready window members, oldest first"
+        );
+        assert!(
+            self.past_reach.is_empty() || self.in_reach == self.reach(),
+            "the window must be full while ops wait past it"
+        );
+        if !self.cycle.is_multiple_of(FULL_WINDOW_CHECK_PERIOD) {
+            return;
+        }
+        let (mut waiting, mut members, mut ready_members) = (0usize, 0usize, 0usize);
+        // Waiting ops are in flight, so each sits in its thread's ROB.
+        for slot in self.threads.iter().flat_map(|t| t.rob.iter().copied()) {
+            let r = &self.sched[slot as usize];
+            if !r.waiting {
+                continue;
+            }
+            waiting += 1;
+            if r.seq < front {
+                assert!(
+                    member(&(r.seq, slot)),
+                    "window member seq {} must be a waiting op",
+                    r.seq
+                );
+                let ready = self.deps_ready(slot, None);
+                assert_eq!(r.ready, ready, "ready bit of seq {}", r.seq);
+                members += 1;
+                ready_members += usize::from(ready);
             }
         }
-        false
+        assert_eq!(
+            members,
+            waiting.min(self.reach() as usize),
+            "issue window must hold the oldest `reach` waiting ops"
+        );
+        assert_eq!(self.in_reach as usize, members, "window size");
+        // `past_reach` ascends and holds waiting ops, so with the count it
+        // is exactly the rest of them, in age order; the ready list checked
+        // above holds ready members, so with its count it is all of them.
+        assert!(
+            self.past_reach.len() == waiting - members
+                && self.past_reach.iter().all(|&(q, s)| {
+                    let r = &self.sched[s as usize];
+                    r.waiting && r.seq == q
+                })
+                && self
+                    .past_reach
+                    .iter()
+                    .zip(self.past_reach.iter().skip(1))
+                    .all(|(a, b)| a.0 < b.0),
+            "ops past the reach must queue in age order"
+        );
+        assert_eq!(
+            self.ready_in_reach.len(),
+            ready_members,
+            "ready list must hold every ready window member"
+        );
+    }
+
+    /// Tries to start one ready candidate on this cycle's remaining
+    /// execution resources (plus its fused partner). An op a structural
+    /// limit blocks stays waiting.
+    fn select(&mut self, slot: u32, class: OpClass, tid: usize, units: &mut IssueUnits) {
+        let done_at = match class {
+            OpClass::Hint => {
+                // The architected MMA wake-up hint powers the unit on
+                // ahead of use, hiding the wake latency (§IV-A).
+                if self.cfg.mma.is_some() {
+                    self.power_mma_on();
+                }
+                Some(self.cycle)
+            }
+            OpClass::Nop => Some(self.cycle), // complete immediately
+            OpClass::IntAlu | OpClass::MoveSpr => {
+                if units.int > 0 {
+                    units.int -= 1;
+                    Some(self.cycle + 1)
+                } else {
+                    None
+                }
+            }
+            OpClass::IntMul => {
+                if units.int > 0 {
+                    units.int -= 1;
+                    Some(self.cycle + u64::from(self.cfg.mul_latency))
+                } else {
+                    None
+                }
+            }
+            OpClass::IntDiv => {
+                if units.int > 0 && self.div_busy_until <= self.cycle {
+                    units.int -= 1;
+                    self.div_busy_until = self.cycle + u64::from(self.cfg.div_latency);
+                    Some(self.cycle + u64::from(self.cfg.div_latency))
+                } else {
+                    None
+                }
+            }
+            OpClass::Branch => {
+                if units.branch > 0 {
+                    units.branch -= 1;
+                    Some(self.cycle + 1)
+                } else {
+                    None
+                }
+            }
+            OpClass::VsxSimple => {
+                if units.vsx > 0 {
+                    units.vsx -= 1;
+                    Some(self.cycle + 2)
+                } else {
+                    None
+                }
+            }
+            OpClass::VsxFp => {
+                if units.vsx > 0 {
+                    units.vsx -= 1;
+                    Some(self.cycle + u64::from(self.cfg.vsx_fp_latency))
+                } else {
+                    None
+                }
+            }
+            OpClass::Mma(kind) => {
+                let lanes = match kind {
+                    MmaKind::F64 => 8,
+                    MmaKind::F32 | MmaKind::Bf16 | MmaKind::I8 => 16,
+                };
+                let mma = self.cfg.mma.expect("mma op requires mma unit");
+                if !self.mma_powered_on() {
+                    // Demand wake: the op waits out the power-on.
+                    self.power_mma_on();
+                    self.act.mma_wake_stall_cycles += 1;
+                    None
+                } else if units.mma_lanes >= lanes {
+                    units.mma_lanes -= lanes;
+                    units.mma_active = true;
+                    self.mma_last_use = self.cycle;
+                    // Back-to-back accumulator chaining is short; the
+                    // full result latency applies to non-acc consumers
+                    // (xxmfacc), modeled via the MmaMove latency below.
+                    Some(self.cycle + u64::from(mma.acc_chain_latency))
+                } else {
+                    None
+                }
+            }
+            OpClass::MmaMove => {
+                if self.cfg.mma.is_some() && !self.mma_powered_on() {
+                    self.power_mma_on();
+                    self.act.mma_wake_stall_cycles += 1;
+                    None
+                } else if units.mma_move > 0 {
+                    units.mma_move -= 1;
+                    let lat = self.cfg.mma.map_or(2, |m| u64::from(m.result_latency));
+                    self.mma_last_use = self.cycle;
+                    Some(self.cycle + lat)
+                } else {
+                    None
+                }
+            }
+            OpClass::Load => {
+                if units.load > 0 && (self.lmq.len() as u32) < self.cfg.load_miss_queue {
+                    units.load -= 1;
+                    Some(self.issue_load(slot, tid))
+                } else {
+                    None
+                }
+            }
+            OpClass::Store => {
+                if units.store > 0 {
+                    units.store -= 1;
+                    Some(self.issue_store(slot, tid))
+                } else {
+                    None
+                }
+            }
+        };
+
+        let Some(done_at) = done_at else { return };
+        units.issued_any = true;
+        self.start_execution(slot, done_at);
+
+        // Fused pair: if the partner's other deps are ready, execute it
+        // together with the head (zero-latency dependent execution).
+        let pair = self.slab[slot as usize].pair;
+        if pair != NO_SLOT {
+            let p = &self.slab[pair as usize];
+            if p.active && p.state == UopState::Waiting && self.deps_ready(pair, Some(slot)) {
+                // A fused dependent op finishes with its head; its unit op
+                // is counted here, its regfile reads are not.
+                match p.op.class {
+                    OpClass::Store => {
+                        // Second of a fused store pair: shares the head's
+                        // address-generation; mark executed.
+                        let seq = p.seq;
+                        if let Some(s) = self.threads[tid]
+                            .store_window
+                            .iter_mut()
+                            .find(|s| s.0 == seq)
+                        {
+                            s.3 = true;
+                        }
+                        self.act.stores += 1;
+                    }
+                    OpClass::Branch => self.act.branch_ops += 1,
+                    _ => self.act.alu_ops += 1,
+                }
+                self.begin_execution(pair, done_at);
+                self.act.issued += 1;
+            }
+        }
     }
 
     /// Whether the MMA unit is powered and ready this cycle.
@@ -1233,23 +1351,30 @@ impl Core {
     }
 
     /// State bookkeeping shared by both execution-start paths: the
-    /// Waiting→Executing transition plus the event-driven scheduler's
-    /// calendar insertion and ready-count maintenance.
+    /// Waiting→Executing transition plus, for the event-driven scheduler,
+    /// the op's exit from the issue window and its calendar insertion.
     fn begin_execution(&mut self, slot: u32, done_at: u64) {
         let e = &mut self.slab[slot as usize];
         debug_assert_eq!(e.state, UopState::Waiting);
         e.state = UopState::Executing { done_at };
-        if e.ready {
-            e.ready = false;
-            self.ready_count -= 1;
-        }
         // Issue-queue entry is freed once the op issues (reservation
         // stations and issue queues alike hold ops only until issue).
         if !e.is_pair_second {
             self.issue_queue_used = self.issue_queue_used.saturating_sub(1);
         }
-        self.issue_order_dead += 1;
         if self.event_driven() {
+            let s = &mut self.sched[slot as usize];
+            s.waiting = false;
+            // Its `ready_in_reach` entry goes at the end of the select loop.
+            s.ready = false;
+            // Only a fused partner of the window's youngest op starts from
+            // past the reach, and it is then the oldest op there.
+            if self.past_reach.front() == Some(&(s.seq, slot)) {
+                self.past_reach.pop_front();
+            } else {
+                debug_assert!(self.past_reach.front().is_none_or(|&(q, _)| s.seq < q));
+                self.in_reach -= 1;
+            }
             // Ops whose latency already elapsed (Nop/Hint complete "this"
             // cycle) are still observed Done only on the next advance.
             self.calendar
@@ -1284,12 +1409,6 @@ impl Core {
             OpClass::Store => self.act.stores += 1,
             OpClass::Nop | OpClass::Hint => {}
         }
-    }
-
-    /// Start execution without re-counting regfile reads/unit ops (used for
-    /// the fused partner whose counting is handled at the call site).
-    fn start_execution_quiet(&mut self, slot: u32, done_at: u64) {
-        self.begin_execution(slot, done_at);
     }
 
     fn issue_load(&mut self, slot: u32, tid: usize) -> u64 {
@@ -1520,17 +1639,6 @@ impl Core {
                 }
             }
         }
-        // Producers not yet Done must wake this op when they finish
-        // (event-driven scheduler); already-resolved deps need no tracking.
-        let mut waiting_on = 0u8;
-        if self.event_driven() {
-            for &(pslot, _) in &deps {
-                if pslot != NO_SLOT && self.slab[pslot as usize].state != UopState::Done {
-                    waiting_on += 1;
-                }
-            }
-        }
-        let ready = self.event_driven() && waiting_on == 0;
         let entry = InFlight {
             op: f.op,
             tid: tid as u8,
@@ -1543,12 +1651,7 @@ impl Core {
             is_pair_second,
             owns_sq,
             active: true,
-            waiting_on,
-            ready,
         };
-        if ready {
-            self.ready_count += 1;
-        }
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 self.slab[s as usize] = entry;
@@ -1556,17 +1659,44 @@ impl Core {
             }
             None => {
                 self.slab.push(entry);
+                self.sched.push(SchedSlot::EMPTY);
                 self.wakeup.push(Vec::new());
                 (self.slab.len() - 1) as u32
             }
         };
-        if self.event_driven() && waiting_on > 0 {
+        if self.event_driven() {
+            // Producers not yet Done must wake this op when they finish;
+            // already-resolved deps need no tracking.
             debug_assert!(self.wakeup[slot as usize].is_empty());
+            let mut waiting_on = 0u8;
             for &(pslot, _) in &deps {
                 if pslot != NO_SLOT && self.slab[pslot as usize].state != UopState::Done {
                     self.wakeup[pslot as usize].push((slot, seq));
+                    waiting_on += 1;
                 }
             }
+            let ready = waiting_on == 0;
+            self.sched[slot as usize] = SchedSlot {
+                seq,
+                class: f.op.class,
+                tid: tid as u8,
+                waiting_on,
+                waiting: true,
+                ready,
+            };
+            // The youngest waiting op joins the window only if the window
+            // has room, which also means nothing waits past the reach.
+            if self.in_reach < self.reach() {
+                debug_assert!(self.past_reach.is_empty());
+                self.in_reach += 1;
+                if ready {
+                    self.ready_in_reach.push((seq, slot));
+                }
+            } else {
+                self.past_reach.push_back((seq, slot));
+            }
+        } else {
+            self.issue_order.push_back((slot, seq));
         }
         // Update rename map for destinations.
         let t = &mut self.threads[tid];
@@ -1585,7 +1715,6 @@ impl Core {
         if !is_pair_second {
             self.issue_queue_used += 1;
         }
-        self.issue_order.push_back((slot, seq));
         slot
     }
 
@@ -1618,8 +1747,7 @@ impl Core {
     fn fetch_thread(&mut self, tid: usize) {
         {
             let t = &self.threads[tid];
-            if t.fetch_done() || t.mispredict_pending.is_some() || t.fetch_stall_until > self.cycle
-            {
+            if t.fetch_done() || t.mispredict_pending || t.fetch_stall_until > self.cycle {
                 return;
             }
             if t.fetch_buffer.len() >= self.cfg.fetch_buffer as usize {
@@ -1685,9 +1813,8 @@ impl Core {
             self.threads[tid].fetch_buffer.push_back(fetched);
             if mispredicted {
                 // Fetch stalls here until the branch resolves; at most one
-                // mispredicted branch is in flight per thread, so the value
-                // is just a flag.
-                self.threads[tid].mispredict_pending = Some(1);
+                // mispredicted branch is in flight per thread.
+                self.threads[tid].mispredict_pending = true;
                 break;
             }
             if is_taken_branch {
@@ -1705,6 +1832,22 @@ struct IssueSummary {
     /// At least one candidate within the lookahead had its deps resolved
     /// (whether or not a structural limit then blocked it).
     saw_ready: bool,
+}
+
+/// Execution resources still free in the current cycle's select pass.
+#[derive(Debug)]
+struct IssueUnits {
+    int: u32,
+    branch: u32,
+    vsx: u32,
+    load: u32,
+    store: u32,
+    mma_lanes: u32,
+    mma_move: u32,
+    /// At least one op started execution.
+    issued_any: bool,
+    /// An MMA op used the grid.
+    mma_active: bool,
 }
 
 /// Which attribution bucket a fast-forwarded idle stretch belongs to
@@ -2501,5 +2644,124 @@ mod attribution_tests {
         let observed = Core::new(cfg).run_observed(vec![chase_trace()], 10_000_000, |_, _| {});
         assert_eq!(plain.attribution, observed.attribution);
         assert_partitions(&observed);
+    }
+}
+
+#[cfg(test)]
+mod lookahead_tests {
+    use super::*;
+    use p10_isa::{Inst, Machine, ProgramBuilder, Reg, Trace};
+
+    /// Straight-line trace: `divd r3 = r1 / r2` (long latency) followed
+    /// by `tail`.
+    fn div_then(tail: impl FnOnce(&mut ProgramBuilder)) -> Trace {
+        let mut b = ProgramBuilder::new();
+        b.push(Inst::Divd {
+            rt: Reg::gpr(3),
+            ra: Reg::gpr(1),
+            rb: Reg::gpr(2),
+        });
+        tail(&mut b);
+        let mut m = Machine::new();
+        m.set_gpr(1, 1000);
+        m.set_gpr(2, 7);
+        m.run(&b.build(), 1_000).unwrap()
+    }
+
+    /// Steps `trace` to completion and returns, per trace op, the cycle
+    /// it left the waiting state (issued, or started with its fused head).
+    /// A single thread installs ops in trace order, so op `i` has seq
+    /// `i + 1`.
+    fn issue_cycles(cfg: CoreConfig, trace: Trace) -> Vec<u64> {
+        let n = trace.len();
+        let mut core = Core::new(cfg);
+        core.threads = vec![ThreadState::new(trace.into())];
+        let mut issued = vec![0u64; n];
+        while !core.threads[0].fully_done() {
+            core.step();
+            assert!(core.cycle < 10_000, "trace must finish");
+            for e in &core.slab {
+                let i = (e.seq - 1) as usize;
+                if e.active && e.state != UopState::Waiting && issued[i] == 0 {
+                    issued[i] = core.cycle;
+                }
+            }
+        }
+        issued
+    }
+
+    fn cfg(reach: u32, fusion: bool, scheduler: Scheduler) -> CoreConfig {
+        let mut c = CoreConfig::power10();
+        c.issue_lookahead = reach;
+        c.fusion = fusion;
+        c.scheduler = scheduler;
+        c
+    }
+
+    #[test]
+    fn ready_op_past_the_lookahead_waits_for_an_older_op_to_issue() {
+        // div; a, b wait on the div; p is ready at dispatch.
+        let trace = div_then(|b| {
+            b.add(Reg::gpr(4), Reg::gpr(3), Reg::gpr(3));
+            b.add(Reg::gpr(5), Reg::gpr(3), Reg::gpr(3));
+            b.addi(Reg::gpr(10), Reg::gpr(11), 1);
+        });
+        for scheduler in [Scheduler::Polled, Scheduler::EventDriven] {
+            // Reach 2: once the div issues, a and b fill the window and p
+            // sits just past it until a issues.
+            let [div, a, b, p] = issue_cycles(cfg(2, false, scheduler), trace.clone())[..] else {
+                unreachable!("four ops")
+            };
+            assert!(a > div + 2, "a waits out the divide ({scheduler:?})");
+            assert_eq!(b, a, "b wakes with a ({scheduler:?})");
+            assert_eq!(
+                p,
+                a + 1,
+                "p enters the window once a issues ({scheduler:?})"
+            );
+            // Reach 3: p is inside the window and issues right away.
+            let wide = issue_cycles(cfg(3, false, scheduler), trace.clone());
+            assert_eq!(
+                wide[3],
+                div + 1,
+                "p within reach issues at once ({scheduler:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_partner_in_the_last_reach_slot_counts_toward_the_reach() {
+        // div; x; a waits on the div; h (reads x) + s form a fused
+        // dependent-ALU pair; d is ready at dispatch.
+        let trace = div_then(|b| {
+            b.addi(Reg::gpr(8), Reg::gpr(8), 1);
+            b.add(Reg::gpr(4), Reg::gpr(3), Reg::gpr(3));
+            b.addi(Reg::gpr(7), Reg::gpr(8), 1);
+            b.add(Reg::gpr(9), Reg::gpr(7), Reg::gpr(7));
+            b.addi(Reg::gpr(10), Reg::gpr(11), 1);
+        });
+        for scheduler in [Scheduler::Polled, Scheduler::EventDriven] {
+            // Reach 3: when h becomes ready the window is {a, h, s}; s
+            // starts with its head and d issues only the cycle after.
+            let c = issue_cycles(cfg(3, true, scheduler), trace.clone());
+            let [div, x, a, h, s, d] = c[..] else {
+                unreachable!("six ops")
+            };
+            assert_eq!(x, div, "x issues with the div ({scheduler:?})");
+            assert_eq!(h, x + 1, "h wakes on x ({scheduler:?})");
+            assert_eq!(s, h, "s starts with its fused head ({scheduler:?})");
+            assert!(a > h, "a still waits on the divide ({scheduler:?})");
+            assert_eq!(
+                d,
+                h + 1,
+                "the fused partner filled the reach ({scheduler:?})"
+            );
+            // Reach 4: d fits beside the pair and issues with h.
+            let wide = issue_cycles(cfg(4, true, scheduler), trace.clone());
+            assert_eq!(
+                wide[5], wide[3],
+                "d within reach issues with h ({scheduler:?})"
+            );
+        }
     }
 }

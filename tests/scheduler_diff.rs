@@ -7,7 +7,7 @@
 //! divergence here is a scheduler bug, not a modeling change.
 
 use p10sim::isa::{Cond, Inst, ProgramBuilder, Reg};
-use p10sim::uarch::{Core, CoreConfig, Scheduler, SimResult, SmtMode};
+use p10sim::uarch::{AblationGroup, Core, CoreConfig, Scheduler, SimResult, SmtMode};
 use p10sim::workloads::{
     microbench::{derating_grid, generate},
     specint_like,
@@ -34,7 +34,11 @@ fn assert_schedulers_agree(cfg: &CoreConfig, traces: &[p10sim::isa::Trace], labe
     );
 }
 
-/// Every core preset, in both plain and SMT variants.
+/// Every core preset, in both plain and SMT variants, plus the Fig. 4
+/// ablation ladder at SMT4: POWER9 with each [`AblationGroup`] applied
+/// cumulatively in Fig. 4 order. The ladder is where `figures fig4`
+/// spends its time, and its last rungs pair the 96-op issue lookahead
+/// with four threads.
 fn presets() -> Vec<CoreConfig> {
     let mut v = vec![
         CoreConfig::power9(),
@@ -44,9 +48,17 @@ fn presets() -> Vec<CoreConfig> {
     let mut smt2 = CoreConfig::power10();
     smt2.smt = SmtMode::Smt2;
     v.push(smt2);
-    let mut smt4 = CoreConfig::power9();
+    let mut smt4 = CoreConfig::power10();
     smt4.smt = SmtMode::Smt4;
     v.push(smt4);
+    let mut rung = CoreConfig::power9();
+    rung.smt = SmtMode::Smt4;
+    v.push(rung.clone());
+    for group in AblationGroup::ALL {
+        rung.apply(group);
+        rung.name = format!("{}+{group:?}", rung.name);
+        v.push(rung.clone());
+    }
     v
 }
 
