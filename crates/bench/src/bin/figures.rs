@@ -1657,14 +1657,21 @@ fn do_sampling(o: &Opts) {
     let mut all_ok = true;
     let mut speedup_sum = 0.0;
     let mut exacts = Vec::new();
-    for b in benches {
+    // One pool job per workload: both sides run (and are timed) on the
+    // same worker; everything order-sensitive happens below, in workload
+    // order. The trace is synthesized before the exact timer starts, so
+    // both wall times cover simulation only.
+    let runs = runner::run_jobs_par(benches, |_, b| {
+        let views = scenario::benchmark_views(&cfg, b, 42, o.ops);
         let t0 = std::time::Instant::now();
-        let exact = scenario::run_benchmark(&cfg, b, 42, o.ops);
+        let exact = scenario::run_traces(&cfg, &b.name, views);
         let exact_s = t0.elapsed().as_secs_f64();
-        exacts.push((exact.sim.cpi(), exact.core_power(), exact_s));
         let t1 = std::time::Instant::now();
         let s = sampling::run_benchmark_sampled(&cfg, b, 42, o.ops, &mode);
-        let sampled_s = t1.elapsed().as_secs_f64();
+        (exact, exact_s, s, t1.elapsed().as_secs_f64())
+    });
+    for (b, (exact, exact_s, s, sampled_s)) in benches.iter().zip(runs) {
+        exacts.push((exact.sim.cpi(), exact.core_power(), exact_s));
         sampling::record_obs(&s.stats);
 
         let cpi_err = (s.stats.cpi_est - exact.sim.cpi()).abs() / exact.sim.cpi().max(1e-12);

@@ -1,4 +1,5 @@
-//! Golden outputs of `figures all --ops 2000`, text and `--json`.
+//! Golden outputs of `figures all --ops 2000`, text and `--json`, and
+//! of `figures sampling --ops 20000 --json`.
 //!
 //! Each form runs cold on an empty cache directory and then warm on the
 //! same directory; both must match the committed golden byte for byte.
@@ -21,27 +22,39 @@ fn scratch(tag: &str) -> PathBuf {
     d
 }
 
-/// Runs `figures` with `args` on the cache directory `cache`, writing
-/// its obs summary to `obs`; returns stdout.
-fn figures(args: &[&str], cache: &Path, obs: &Path) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(args)
-        .args(["--jobs", "2", "--no-ledger", "--obs-json"])
-        .arg(obs)
-        .env("P10SIM_CACHE_DIR", cache)
+/// A `figures` command with `args`, no ledger, and no inherited
+/// settings that would change what it computes or where it stores state.
+fn figures_cmd(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_figures"));
+    cmd.args(args)
+        .arg("--no-ledger")
         .env_remove("P10SIM_CKPT_DIR")
         .env_remove("P10SIM_SAMPLING")
         .env_remove("P10SIM_TRACE")
         .env_remove("P10SIM_OBS_JSON")
-        .env_remove("P10SIM_TRACE_ARENA")
-        .output()
-        .expect("run figures");
+        .env_remove("P10SIM_TRACE_ARENA");
+    cmd
+}
+
+/// Runs `cmd`, asserting success; returns stdout.
+fn stdout_of(mut cmd: Command, args: &[&str]) -> String {
+    let out = cmd.output().expect("run figures");
     assert!(
         out.status.success(),
         "figures {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Runs `figures` with `args` on the cache directory `cache`, writing
+/// its obs summary to `obs`; returns stdout.
+fn figures(args: &[&str], cache: &Path, obs: &Path) -> String {
+    let mut cmd = figures_cmd(args);
+    cmd.args(["--jobs", "2", "--obs-json"])
+        .arg(obs)
+        .env("P10SIM_CACHE_DIR", cache);
+    stdout_of(cmd, args)
 }
 
 fn counter(obs: &Path, name: &str) -> u64 {
@@ -122,4 +135,69 @@ fn all_text_matches_golden_cold_and_warm() {
 #[test]
 fn all_json_matches_golden_cold_and_warm() {
     check("json", &["--json"], "all_ops2000.json");
+}
+
+/// The wall-clock keys of `figures sampling --json`.
+const WALL_CLOCK: [&str; 3] = ["exact_s", "sampled_s", "speedup"];
+
+/// `text` with every [`WALL_CLOCK`] value replaced by `0.0`.
+fn mask_wall_clock(text: &str) -> String {
+    text.lines()
+        .map(|line| {
+            let body = line.trim_start();
+            let indent = &line[..line.len() - body.len()];
+            let masked = WALL_CLOCK
+                .iter()
+                .find(|k| body.starts_with(&format!("\"{k}\": ")))
+                .map_or_else(
+                    || line.to_owned(),
+                    |k| {
+                        let comma = if body.ends_with(',') { "," } else { "" };
+                        format!("{indent}\"{k}\": 0.0{comma}")
+                    },
+                );
+            masked + "\n"
+        })
+        .collect()
+}
+
+/// `figures sampling --ops 20000 --json --no-cache` at `jobs` workers,
+/// wall-clock keys masked. `ckpt` is the checkpoint directory (disk
+/// tier); `None` leaves the store memory-only.
+fn sampling_run(jobs: &str, ckpt: Option<&Path>) -> String {
+    let args = ["sampling", "--ops", "20000", "--json", "--no-cache"];
+    let mut cmd = figures_cmd(&args);
+    cmd.args(["--jobs", jobs]);
+    if let Some(dir) = ckpt {
+        cmd.env("P10SIM_CKPT_DIR", dir);
+    }
+    mask_wall_clock(&stdout_of(cmd, &args))
+}
+
+/// The sampling study is identical at one and two workers: against
+/// `goldens/sampling_ops20000.json` with a memory-only checkpoint store,
+/// and run to run with a fresh checkpoint directory at each width.
+///
+/// Regenerate after an intended output change (and say why in
+/// CHANGES.md):
+/// `cargo build --release && target/release/figures sampling --ops 20000 --json --no-cache --no-ledger | sed -E 's/^( *"(exact_s|sampled_s|speedup)": )[^,]*/\10.0/' > goldens/sampling_ops20000.json`
+#[test]
+fn sampling_matches_golden_at_one_and_two_jobs() {
+    for jobs in ["1", "2"] {
+        assert_matches_golden(
+            &sampling_run(jobs, None),
+            "sampling_ops20000.json",
+            &format!("sampling --jobs {jobs}"),
+        );
+    }
+    let dir = scratch("sampling");
+    let on_disk: Vec<String> = ["1", "2"]
+        .iter()
+        .map(|jobs| sampling_run(jobs, Some(&dir.join(format!("ckpt{jobs}")))))
+        .collect();
+    assert_eq!(
+        on_disk[0], on_disk[1],
+        "sampling with a fresh checkpoint directory differs between --jobs 1 and 2"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -123,9 +123,10 @@ const COLD_TOL_REL: f64 = 0.25;
 /// low-CPI intervals honestly report large uncertainty while long
 /// intervals (where the residue amortizes) stay tight.
 const BOUNDARY_RESIDUE_CYCLES: f64 = 300.0;
-/// In-memory checkpoint-blob memo entries per [`CkptStore`] before the
-/// memo is dropped wholesale (checkpoints are tens of KB each; the disk
-/// tier, when configured, still serves evicted entries).
+/// Checkpoint blobs (~1.5 MB each) one warm class may hold in a
+/// [`CkptStore`]'s memory tier before that class's blobs are dropped.
+/// Other classes keep theirs, so what a class finds never depends on how
+/// concurrently running classes interleave.
 const CKPT_MEMO_CAP: usize = 64;
 
 /// Detailed-interval count [`BOUND_FLOOR_SKIP_REL`] was calibrated at:
@@ -380,9 +381,10 @@ pub fn record_obs(stats: &SamplingStats) {
 /// [`crate::runner::warm_projection`] of the config plus a trace
 /// signature and the interval size — and by interval boundary index, so
 /// every config in a sweep that shares warm-relevant geometry shares one
-/// set of checkpoints. A two-tier layout (in-memory memo over an
-/// optional disk directory, same shape as the engine's result cache)
-/// makes reuse free within a process and persistent across runs.
+/// set of checkpoints. A store has one tier: a disk directory when one is
+/// configured (reuse persists across runs, and blobs never pile up in
+/// memory), else an in-memory memo (reuse within the process). The memo
+/// also keeps anything whose disk write failed.
 ///
 /// All traffic is counted per store (`ckpt_hits`/`ckpt_misses`/
 /// `ckpt_bytes`/`warm_passes`) *and* mirrored into the process-wide
@@ -391,13 +393,17 @@ pub fn record_obs(stats: &SamplingStats) {
 /// tests running in parallel.
 pub struct CkptStore {
     dir: Option<PathBuf>,
-    blobs: Mutex<HashMap<String, Arc<Vec<u8>>>>,
+    /// Memory tier: blobs by warm class.
+    blobs: Mutex<HashMap<u64, ClassBlobs>>,
     feats: Mutex<HashMap<u64, Arc<Vec<f64>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes: AtomicU64,
     warm_passes: AtomicU64,
 }
+
+/// One warm class's in-memory checkpoint blobs, by interval boundary.
+type ClassBlobs = HashMap<usize, Arc<Vec<u8>>>;
 
 static PROCESS_STORE: OnceLock<CkptStore> = OnceLock::new();
 
@@ -462,33 +468,35 @@ impl CkptStore {
         format!("ckpt-{class:016x}-{idx}.bin")
     }
 
-    fn memo_put(&self, key: String, blob: Arc<Vec<u8>>) {
-        let mut m = self.blobs.lock().expect("ckpt memo poisoned");
-        if m.len() >= CKPT_MEMO_CAP {
-            // Blobs are large; drop the memo wholesale rather than track
-            // LRU — the disk tier still serves evicted entries.
-            m.clear();
+    /// Writes `bytes` to the disk tier (tmp + rename); `false` when the
+    /// store has no disk tier or the write failed.
+    fn disk_put(&self, name: &str, bytes: &[u8]) -> bool {
+        let Some(dir) = &self.dir else {
+            return false;
+        };
+        let _ = std::fs::create_dir_all(dir);
+        let tmp = runner::temp_path(dir, name);
+        if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, dir.join(name)).is_ok() {
+            return true;
         }
-        m.insert(key, blob);
+        let _ = std::fs::remove_file(&tmp);
+        false
     }
 
     /// Loads the warmer checkpointed at interval boundary `idx` for the
     /// given warm class, if one exists and decodes under `cfg`.
     fn load(&self, cfg: &CoreConfig, class: u64, idx: usize) -> Option<FunctionalWarmer> {
-        let key = Self::blob_name(class, idx);
-        let blob = self
+        let memo = self
             .blobs
             .lock()
             .expect("ckpt memo poisoned")
-            .get(&key)
+            .get(&class)
+            .and_then(|m| m.get(&idx))
             .cloned();
-        let blob = match blob {
+        let blob = match memo {
             Some(b) => b,
             None => {
-                let path = self.dir.as_ref()?.join(&key);
-                let b = Arc::new(std::fs::read(path).ok()?);
-                self.memo_put(key, Arc::clone(&b));
-                b
+                Arc::new(std::fs::read(self.dir.as_ref()?.join(Self::blob_name(class, idx))).ok()?)
             }
         };
         let w = FunctionalWarmer::from_bytes(cfg, &blob)?;
@@ -498,21 +506,23 @@ impl CkptStore {
     }
 
     /// Serializes and stores a checkpoint at interval boundary `idx`.
-    /// Disk writes are best-effort (tmp + rename, errors ignored): the
-    /// store is a cache, never a source of truth.
+    /// Disk writes are best-effort: the store is a cache, never a source
+    /// of truth, so a failed write falls back to the memory tier.
     fn save(&self, class: u64, idx: usize, w: &FunctionalWarmer) {
-        let key = Self::blob_name(class, idx);
         let bytes = w.to_bytes();
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         p10_obs::counter("sampling.ckpt_bytes", bytes.len() as u64);
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::create_dir_all(dir);
-            let tmp = runner::temp_path(dir, &key);
-            if std::fs::write(&tmp, &bytes).is_ok() {
-                let _ = std::fs::rename(&tmp, dir.join(&key));
-            }
+        if self.disk_put(&Self::blob_name(class, idx), &bytes) {
+            return;
         }
-        self.memo_put(key, Arc::new(bytes));
+        let mut memo = self.blobs.lock().expect("ckpt memo poisoned");
+        let class_blobs = memo.entry(class).or_default();
+        if class_blobs.len() >= CKPT_MEMO_CAP {
+            // Blobs are large; drop this class's wholesale rather than
+            // track LRU.
+            class_blobs.clear();
+        }
+        class_blobs.insert(idx, Arc::new(bytes));
     }
 
     fn note_miss(&self) {
@@ -529,47 +539,34 @@ impl CkptStore {
         expected_len: usize,
         compute: impl FnOnce() -> Vec<f64>,
     ) -> Arc<Vec<f64>> {
-        if let Some(f) = self.feats.lock().expect("feat memo poisoned").get(&class) {
-            if f.len() == expected_len {
-                return Arc::clone(f);
-            }
-        }
         let fname = format!("feat-{class:016x}.json");
-        if let Some(dir) = &self.dir {
-            if let Ok(text) = std::fs::read_to_string(dir.join(&fname)) {
-                if let Ok(v) = serde_json::from_str::<Vec<f64>>(&text) {
-                    if v.len() == expected_len {
-                        let a = Arc::new(v);
-                        self.feat_put(class, Arc::clone(&a));
-                        return a;
-                    }
-                }
-            }
+        let memo = self
+            .feats
+            .lock()
+            .expect("feat memo poisoned")
+            .get(&class)
+            .cloned();
+        let stored = memo.or_else(|| {
+            let text = std::fs::read_to_string(self.dir.as_ref()?.join(&fname)).ok()?;
+            serde_json::from_str::<Vec<f64>>(&text).ok().map(Arc::new)
+        });
+        if let Some(f) = stored.filter(|f| f.len() == expected_len) {
+            return f;
         }
         let v = compute();
         debug_assert_eq!(v.len(), expected_len, "warm feature pass length");
         self.warm_passes.fetch_add(1, Ordering::Relaxed);
         p10_obs::counter("sampling.warm_passes", 1);
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::create_dir_all(dir);
-            if let Ok(text) = serde_json::to_string(&v) {
-                let tmp = runner::temp_path(dir, &fname);
-                if std::fs::write(&tmp, text).is_ok() {
-                    let _ = std::fs::rename(&tmp, dir.join(&fname));
-                }
-            }
-        }
         let a = Arc::new(v);
-        self.feat_put(class, Arc::clone(&a));
-        a
-    }
-
-    fn feat_put(&self, class: u64, feats: Arc<Vec<f64>>) {
-        let mut m = self.feats.lock().expect("feat memo poisoned");
-        if m.len() >= CKPT_MEMO_CAP {
-            m.clear();
+        let on_disk = serde_json::to_string(&*a).is_ok_and(|t| self.disk_put(&fname, t.as_bytes()));
+        if !on_disk {
+            // One small vector per class: never evicted.
+            self.feats
+                .lock()
+                .expect("feat memo poisoned")
+                .insert(class, Arc::clone(&a));
         }
-        m.insert(class, feats);
+        a
     }
 }
 
@@ -1792,11 +1789,9 @@ pub fn train_cross_workload(
     max_features: usize,
     store: &CkptStore,
 ) -> Option<CrossWorkloadModel> {
-    let mut cpi_data = Dataset::new(feature_names());
-    let mut power_data = Dataset::new(feature_names());
-    let mut cpi_vals = Vec::new();
-    let mut power_vals = Vec::new();
-    for bench in benches {
+    // The benchmarks are independent (each its own warm class), so they
+    // measure on the engine pool; rows are pushed in benchmark order.
+    let per_bench = runner::run_jobs_par(benches, |_, bench| {
         let views = scenario::benchmark_views(cfg, bench, seed, max_ops);
         let core = sample_core(
             cfg,
@@ -1807,13 +1802,21 @@ pub fn train_cross_workload(
             interval_ops / 8,
             store,
         );
-        for m in core.measured.iter().flatten() {
-            let row = interval_features(&core.ivs[m.interval]);
-            cpi_data.push(row.clone(), m.cpi);
-            power_data.push(row, m.power);
-            cpi_vals.push(m.cpi);
-            power_vals.push(m.power);
-        }
+        core.measured
+            .iter()
+            .flatten()
+            .map(|m| (interval_features(&core.ivs[m.interval]), m.cpi, m.power))
+            .collect::<Vec<_>>()
+    });
+    let mut cpi_data = Dataset::new(feature_names());
+    let mut power_data = Dataset::new(feature_names());
+    let mut cpi_vals = Vec::new();
+    let mut power_vals = Vec::new();
+    for (row, cpi, power) in per_bench.into_iter().flatten() {
+        cpi_data.push(row.clone(), cpi);
+        power_data.push(row, power);
+        cpi_vals.push(cpi);
+        power_vals.push(power);
     }
     if cpi_data.len() < 4 {
         return None;
@@ -2304,6 +2307,79 @@ mod tests {
             serde_json::to_string(&s1).expect("json"),
             serde_json::to_string(&s1b).expect("json"),
         );
+    }
+
+    /// POWER10 with small L2/L3, so its checkpoint blobs are small.
+    fn small_warm_cfg() -> CoreConfig {
+        let mut cfg = CoreConfig::power10();
+        cfg.l2.size_bytes = 64 * 1024;
+        cfg.l3.size_bytes = 128 * 1024;
+        cfg
+    }
+
+    #[test]
+    fn disk_tier_store_keeps_nothing_in_memory() {
+        let dir = std::env::temp_dir().join(format!("p10ckpt-disk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = small_warm_cfg();
+        let store = CkptStore::new(Some(dir.clone()));
+        let w = FunctionalWarmer::new(&cfg);
+        let n = 5;
+        for idx in 1..=n {
+            store.save(3, idx, &w);
+        }
+        let feats = store.warm_features_cached(3, 2, || vec![0.25, 0.5]);
+        assert!(store.blobs.lock().expect("memo").is_empty());
+        assert!(store.feats.lock().expect("memo").is_empty());
+        // Everything comes back from disk.
+        for idx in 1..=n {
+            assert!(store.load(&cfg, 3, idx).is_some(), "boundary {idx}");
+        }
+        assert_eq!(store.ckpt_hits(), n as u64);
+        let again = store.warm_features_cached(3, 2, || unreachable!("features are on disk"));
+        assert_eq!(again, feats);
+        assert_eq!(store.warm_passes(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_tier_eviction_ignores_how_classes_interleave() {
+        let cfg = small_warm_cfg();
+        let w = FunctionalWarmer::new(&cfg);
+        // Each class saves past the cap, so it must evict, then reloads
+        // every boundary; `step` runs after every store call.
+        let n = CKPT_MEMO_CAP + 10;
+        let run_class = |store: &CkptStore, class: u64, step: &dyn Fn()| {
+            for idx in 1..=n {
+                store.save(class, idx, &w);
+                step();
+            }
+            (1..=n)
+                .filter(|&idx| {
+                    let hit = store.load(&cfg, class, idx).is_some();
+                    step();
+                    hit
+                })
+                .count()
+        };
+        let serial = CkptStore::new(None);
+        let serial_hits = [run_class(&serial, 1, &|| {}), run_class(&serial, 2, &|| {})];
+        // Two threads in lock step: every store call of one class lands
+        // between two of the other's.
+        let store = CkptStore::new(None);
+        let barrier = std::sync::Barrier::new(2);
+        let step = || {
+            barrier.wait();
+        };
+        let par_hits = std::thread::scope(|s| {
+            let a = s.spawn(|| run_class(&store, 1, &step));
+            let b = s.spawn(|| run_class(&store, 2, &step));
+            [a.join().expect("class 1"), b.join().expect("class 2")]
+        });
+        assert_eq!(par_hits, serial_hits);
+        // The blobs saved after each class's own eviction survive.
+        assert_eq!(serial_hits, [n - CKPT_MEMO_CAP; 2]);
+        assert_eq!(store.ckpt_hits(), serial.ckpt_hits());
     }
 
     #[test]
