@@ -17,7 +17,7 @@
 //! `--sampling MODE` (or `P10SIM_SAMPLING`) selects sampled execution
 //! for every simulation point routed through the engine: `exact`
 //! (default, byte-identical reference), `simpoints:INTERVAL:K[:WARMUP]`,
-//! `learned:INTERVAL:K[:FEATURES]`, or `bound:PCT` (grow the cluster
+//! or `bound:PCT` (grow the cluster
 //! count until the reported error bound is at most PCT percent) — see
 //! `p10_core::sampling`. Sampled runs persist warm-state checkpoints
 //! under the engine's disk cache (override the directory with
@@ -120,9 +120,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!(
         "       figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]"
     );
-    eprintln!(
-        "sampling modes: exact | simpoints:INTERVAL:K[:WARMUP] | learned:INTERVAL:K[:FEATURES] | bound:PCT (0 < PCT <= 100)"
-    );
+    eprintln!("sampling modes: exact | simpoints:INTERVAL:K[:WARMUP] | bound:PCT (0 < PCT <= 100)");
     eprintln!(
         "experiments: {} dse profile sampling obsreport all",
         EXPERIMENTS.join(" ")
@@ -1785,64 +1783,10 @@ fn do_sampling(o: &Opts) {
         })
     });
 
-    // Cross-workload fast-forward: fit interval-level CPI/power
-    // predictors on the seven non-study workloads' measured intervals,
-    // then estimate the last study workload from its functional-warming
-    // features alone — one anchor interval simulated, everything else
-    // predicted.
-    let store = sampling::CkptStore::process_default();
-    let (xi, xk) = match mode {
-        SamplingMode::SimPoints {
-            interval_ops, k, ..
-        }
-        | SamplingMode::Learned {
-            interval_ops, k, ..
-        } => (interval_ops, k),
-        _ => match default_sampling_mode(o.ops) {
-            SamplingMode::SimPoints {
-                interval_ops, k, ..
-            } => (interval_ops, k),
-            _ => unreachable!("default mode is simpoints"),
-        },
-    };
-    let xw = sampling::train_cross_workload(&cfg, &suite[..7], 42, o.ops, xi, xk, 4, store).map(
-        |model| {
-            let b = &benches[2];
-            let s = sampling::run_benchmark_predicted(&cfg, b, 42, o.ops, xi, &model, store);
-            sampling::record_obs(&s.stats);
-            let (exact_cpi, exact_power, _) = exacts[2];
-            let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
-            let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
-            if !o.json {
-                println!(
-                    "cross-workload ({} rows, cv cpi {:.1}% power {:.1}%) predicts {:<12} \
-                     CPI {:>6.3} (err {:>4.1}%)  power {:>6.1} W (err {:>4.1}%)  [{}]",
-                    model.training_rows,
-                    model.cv_cpi_error_pct(),
-                    model.cv_power_error_pct(),
-                    b.name,
-                    s.stats.cpi_est,
-                    cpi_err * 100.0,
-                    s.stats.power_est,
-                    power_err * 100.0,
-                    s.stats.mode
-                );
-            }
-            json!({
-                "workload": b.name,
-                "mode": s.stats.mode,
-                "training_rows": model.training_rows,
-                "cv_cpi_error_pct": model.cv_cpi_error_pct(),
-                "cv_power_error_pct": model.cv_power_error_pct(),
-                "cpi_rel_err": cpi_err,
-                "power_rel_err": power_err,
-            })
-        },
-    );
-
     // Warm-state checkpoint traffic across all of the above. A cold run
     // reports misses and warm passes; a repeat run (same budget, shared
     // P10SIM_CKPT_DIR or disk cache) reports hits and zero warm passes.
+    let store = sampling::CkptStore::process_default();
     let ckpt = json!({
         "hits": store.ckpt_hits(),
         "misses": store.ckpt_misses(),
@@ -1853,7 +1797,6 @@ fn do_sampling(o: &Opts) {
         let payload = json!({
             "rows": rows,
             "bound": bound,
-            "cross_workload": xw,
             "checkpoints": ckpt,
         });
         println!("{}", serde_json::to_string_pretty(&payload).expect("json"));

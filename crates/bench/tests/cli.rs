@@ -71,6 +71,14 @@ fn malformed_sampling_bound_fails_loudly() {
     assert_usage_error(&["table1", "--sampling"], "--sampling requires a value");
 }
 
+#[test]
+fn removed_learned_sampling_mode_fails_loudly() {
+    assert_usage_error(
+        &["table1", "--sampling", "learned:1000:8"],
+        "bad sampling mode 'learned:1000:8'",
+    );
+}
+
 /// The JSON payload printed after the human-readable header: everything
 /// from the first '{'/'[' line to the end of stdout.
 fn json_payload(stdout: &str) -> serde_json::Value {

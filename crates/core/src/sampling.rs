@@ -1,5 +1,5 @@
-//! Sampled simulation: SimPoint-weighted execution with error bounds,
-//! checkpointed warm-state reuse, and learned fast-forwards.
+//! Sampled simulation: SimPoint-weighted execution with error bounds
+//! and checkpointed warm-state reuse.
 //!
 //! Exact simulation replays every dynamic op through the cycle model. For
 //! long traces most of that work is redundant — program phases repeat —
@@ -55,27 +55,14 @@
 //! cluster budget round by round — reusing prior rounds' checkpoints and
 //! cached measurements — until the claimed bound meets a target.
 //!
-//! [`SamplingMode::Learned`] goes one step further (in the spirit of
-//! learned fast-forwarding): the simulated representatives become a
-//! training set for linear counter→CPI and counter→power predictors
-//! (Gram-cached forward selection from `p10-powermodel`), skipped
-//! intervals are *predicted* from cheap functional-trace features instead
-//! of inheriting their representative's numbers verbatim, and the
-//! reported bound incorporates the leave-one-out cross-validated error.
-//! [`train_cross_workload`] lifts the same idea across workloads: one
-//! predictor fitted on several benchmarks' measured intervals lets a
-//! *new* workload fast-forward from its first interval alone
-//! ([`run_benchmark_predicted`]).
-//!
 //! Exact mode remains the byte-identical reference: the engine only
 //! routes through this module when a non-exact mode is active, so
 //! `figures all` output without `--sampling` is unchanged.
 
 use crate::runner;
 use crate::scenario::{self, ScenarioResult};
-use p10_isa::{DynOp, OpClass, TraceView};
+use p10_isa::{DynOp, TraceView};
 use p10_power::PowerModel;
-use p10_powermodel::{forward_select_loo, CvModel, Dataset, FitOptions};
 use p10_trace::simpoint::{simpoints_weighted, WeightedSimpoints};
 use p10_uarch::{
     Activity, ActivityTrace, Core, CoreConfig, CycleAttribution, FunctionalWarmer, SimResult,
@@ -102,8 +89,6 @@ const BOUND_FLOOR_MIN_REL: f64 = 0.01;
 /// were not measured. Calibrated against the differential grid in
 /// `tests/sampling_diff.rs`.
 const BOUND_FLOOR_SKIP_REL: f64 = 0.07;
-/// Safety factor on the learned mode's cross-validated error term.
-const CV_SAFETY: f64 = 1.5;
 /// Weight on the functional miss-rate features appended to each BBV:
 /// chosen so a cold-vs-warm miss-rate gap (tenths of a miss per op)
 /// separates intervals about as strongly as a real code-phase change.
@@ -166,17 +151,6 @@ pub enum SamplingMode {
         /// and delta'd out of its counters (0 = cold).
         warmup_ops: usize,
     },
-    /// SimPoints plus a learned fast-forward: linear predictors fitted on
-    /// the simulated representatives estimate each *skipped* interval's
-    /// CPI and power from functional-trace features.
-    Learned {
-        /// Ops per interval (per thread).
-        interval_ops: usize,
-        /// Maximum clusters (training-set size).
-        k: usize,
-        /// Maximum features forward selection may use.
-        max_features: usize,
-    },
     /// Target-bound auto-tuning: grow the cluster budget round by round
     /// (reusing checkpoints and cached interval measurements between
     /// rounds) until the reported error bound meets the target, every
@@ -191,8 +165,8 @@ pub enum SamplingMode {
 
 impl SamplingMode {
     /// Parses a `--sampling` argument: `exact` |
-    /// `simpoints:INTERVAL:K[:WARMUP]` | `learned:INTERVAL:K[:FEATURES]`
-    /// | `bound:PCT`. Warmup defaults to `INTERVAL / 8`, features to 4.
+    /// `simpoints:INTERVAL:K[:WARMUP]` | `bound:PCT`. Warmup defaults to
+    /// `INTERVAL / 8`.
     /// `PCT` is a relative error target in percent (`0 < PCT <= 100`,
     /// fractions and a trailing `%` accepted).
     ///
@@ -204,8 +178,7 @@ impl SamplingMode {
         let err = || {
             format!(
                 "bad sampling mode '{text}': expected exact | \
-                 simpoints:INTERVAL:K[:WARMUP] | learned:INTERVAL:K[:FEATURES] | \
-                 bound:PCT (0 < PCT <= 100)"
+                 simpoints:INTERVAL:K[:WARMUP] | bound:PCT (0 < PCT <= 100)"
             )
         };
         let mut parts = text.split(':');
@@ -228,14 +201,6 @@ impl SamplingMode {
                     warmup_ops,
                 })
             }
-            ("learned", 2 | 3) => Ok(SamplingMode::Learned {
-                interval_ops: num(fields[0]).ok_or_else(err)?,
-                k: num(fields[1]).ok_or_else(err)?,
-                max_features: match fields.get(2) {
-                    Some(s) => num(s).ok_or_else(err)?,
-                    None => 4,
-                },
-            }),
             ("bound", 1) => {
                 let raw = fields[0].strip_suffix('%').unwrap_or(fields[0]);
                 let pct: f64 = raw.parse().map_err(|_| err())?;
@@ -264,11 +229,6 @@ impl SamplingMode {
                 k,
                 warmup_ops,
             } => format!("simpoints:{interval_ops}:{k}:{warmup_ops}"),
-            SamplingMode::Learned {
-                interval_ops,
-                k,
-                max_features,
-            } => format!("learned:{interval_ops}:{k}:{max_features}"),
             SamplingMode::Bound { target_mpct } => {
                 let mut pct = format!("{:.3}", f64::from(target_mpct) / 1000.0);
                 while pct.ends_with('0') {
@@ -335,13 +295,6 @@ pub struct SamplingStats {
     pub cpi_bound_rel: f64,
     /// Relative error bound claimed for `power_est` (fraction).
     pub power_bound_rel: f64,
-    /// Learned mode: leave-one-out CV error of the CPI predictor (%).
-    pub cv_cpi_error_pct: f64,
-    /// Learned mode: leave-one-out CV error of the power predictor (%).
-    pub cv_power_error_pct: f64,
-    /// Learned mode: intervals filled in by prediction rather than by
-    /// their representative's numbers.
-    pub predicted_intervals: u64,
 }
 
 /// A scenario result produced by sampled execution, with its statistics.
@@ -642,9 +595,6 @@ struct Interval {
     /// Normalized basic-block vector over all thread slices, augmented
     /// with weighted functional-warming miss rates (see [`partition`]).
     bbv: Vec<f64>,
-    /// Per-op functional L1D/L2/L3 miss rates at this interval's position
-    /// in the trace (from the clustering pre-pass).
-    warm_miss: [f64; 3],
 }
 
 /// Partitions per-thread views into op-index-aligned intervals and
@@ -690,12 +640,7 @@ fn partition(
             }
             // Every window below `n` holds ops from the longest thread,
             // so interval index == window index (no filtering needed).
-            Interval {
-                slices,
-                ops,
-                bbv,
-                warm_miss: [0.0; 3],
-            }
+            Interval { slices, ops, bbv }
         })
         .collect();
     let class = warm_class_key(cfg, name, views, interval_ops);
@@ -717,10 +662,7 @@ fn partition(
         out
     });
     for (iv, chunk) in ivs.iter_mut().zip(feats.chunks(3)) {
-        iv.warm_miss = [chunk[0], chunk[1], chunk[2]];
-        for m in iv.warm_miss {
-            iv.bbv.push(m * MISS_FEATURE_WEIGHT);
-        }
+        iv.bbv.extend(chunk.iter().map(|m| m * MISS_FEATURE_WEIGHT));
     }
     ivs
 }
@@ -913,66 +855,6 @@ fn spread_bound_rel(
     Z_95 * var.sqrt() / estimate.abs().max(1e-12) + floor
 }
 
-/// Names of the functional-trace features the learned mode predicts from.
-fn feature_names() -> Vec<String> {
-    [
-        "load_frac",
-        "store_frac",
-        "branch_frac",
-        "mul_div_frac",
-        "vsx_frac",
-        "mma_frac",
-        "flops_per_op",
-        "uniq_lines_per_op",
-        "uniq_pages_per_op",
-        "prefixed_frac",
-        "warm_l1d_miss_rate",
-        "warm_l2_miss_rate",
-        "warm_l3_miss_rate",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .collect()
-}
-
-/// Fast-forward features of one interval — computable without the cycle
-/// model (static trace mix plus the functional-warming miss rates),
-/// which is the whole point of the learned fast-forward.
-fn interval_features(iv: &Interval) -> Vec<f64> {
-    let n = iv.ops.max(1) as f64;
-    let mut counts = [0u64; 6]; // load store branch muldiv vsx mma
-    let mut flops = 0u64;
-    let mut prefixed = 0u64;
-    let mut lines: HashSet<u64> = HashSet::new();
-    let mut pages: HashSet<u64> = HashSet::new();
-    for s in &iv.slices {
-        for op in s.ops() {
-            match op.class {
-                OpClass::Load => counts[0] += 1,
-                OpClass::Store => counts[1] += 1,
-                OpClass::Branch => counts[2] += 1,
-                OpClass::IntMul | OpClass::IntDiv => counts[3] += 1,
-                OpClass::VsxSimple | OpClass::VsxFp => counts[4] += 1,
-                OpClass::Mma(_) | OpClass::MmaMove => counts[5] += 1,
-                _ => {}
-            }
-            flops += u64::from(op.flops);
-            prefixed += u64::from(op.prefixed);
-            if let Some(m) = op.mem() {
-                lines.insert(m.addr >> 7);
-                pages.insert(m.addr >> 12);
-            }
-        }
-    }
-    let mut row: Vec<f64> = counts.iter().map(|&c| c as f64 / n).collect();
-    row.push(flops as f64 / n);
-    row.push(lines.len() as f64 / n);
-    row.push(pages.len() as f64 / n);
-    row.push(prefixed as f64 / n);
-    row.extend(iv.warm_miss);
-    row
-}
-
 /// Everything [`reconstitute`] produces: the whole-trace result, the
 /// headline estimates, and the raw synthesis ingredients
 /// ([`synthesize_trace`] turns them into a windowed activity trace).
@@ -987,16 +869,10 @@ struct Reconstituted {
     interval_cycles: Vec<f64>,
 }
 
-/// Reconstitutes a whole-trace [`ScenarioResult`] from per-interval CPI /
-/// power assignments plus the representatives' counter shapes.
-///
-/// `cpi_of(i)` / `power_of(i)` give interval `i`'s assigned values (its
-/// own detailed measurement when it has one, possibly a prediction in
-/// learned mode, otherwise its representative's measurement). Counters
-/// other than `cycles`/`completed` are scaled per interval from its
-/// measurement source — predictions only move the headline cycles/power,
-/// the counter *mix* always comes from simulation.
-#[allow(clippy::too_many_arguments)]
+/// Reconstitutes a whole-trace [`ScenarioResult`] from per-interval
+/// measurements: each interval takes its CPI, power and counter shape
+/// from its own detailed measurement when it has one, otherwise from its
+/// cluster's representative.
 fn reconstitute(
     cfg: &CoreConfig,
     name: &str,
@@ -1005,40 +881,38 @@ fn reconstitute(
     measured: &[Option<RepMeasurement>],
     cluster_of: &[usize],
     reps: &[RepMeasurement],
-    cpi_of: &dyn Fn(usize) -> f64,
-    power_of: &dyn Fn(usize) -> f64,
 ) -> Reconstituted {
+    let source: Vec<&RepMeasurement> = (0..ivs.len())
+        .map(|i| measured[i].as_ref().unwrap_or(&reps[cluster_of[i]]))
+        .collect();
     let total_ops: u64 = ivs.iter().map(|iv| iv.ops).sum();
     // Whole-trace cycles: per-interval op counts times assigned CPI.
     let interval_cycles: Vec<f64> = ivs
         .iter()
-        .enumerate()
-        .map(|(i, iv)| iv.ops as f64 * cpi_of(i))
+        .zip(&source)
+        .map(|(iv, m)| iv.ops as f64 * m.cpi)
         .collect();
     let cycles_est: f64 = interval_cycles.iter().sum();
     let cpi_est = cycles_est / total_ops.max(1) as f64;
     // Power is per-cycle intensive: cycle-weighted mean of assignments.
     let power_est: f64 = interval_cycles
         .iter()
-        .enumerate()
-        .map(|(i, c)| c * power_of(i))
+        .zip(&source)
+        .map(|(c, m)| c * m.power)
         .sum::<f64>()
         / cycles_est.max(1e-12);
 
-    // Counter mix per interval: its own measurement when detailed,
-    // otherwise its cluster's representative, scaled to the interval's
-    // op share.
+    // Counter mix per interval, scaled to the interval's op share.
     let mut terms: Vec<(f64, Activity)> = Vec::new();
     let mut attr_terms: Vec<(f64, CycleAttribution)> = Vec::new();
-    for (i, iv) in ivs.iter().enumerate() {
-        let m = measured[i].as_ref().unwrap_or(&reps[cluster_of[i]]);
+    for (iv, m) in ivs.iter().zip(&source) {
         let scale = iv.ops as f64 / m.activity.completed.max(1) as f64;
         terms.push((scale, m.activity));
         attr_terms.push((scale, m.attribution));
     }
     let mut activity = Activity::weighted_sum(&terms);
     // Pin the invariants exact mode guarantees: completed equals the op
-    // budget, and cycles match the (possibly predicted) estimate.
+    // budget, and cycles match the estimate.
     activity.completed = total_ops;
     activity.cycles = cycles_est.round().max(1.0) as u64;
     let attribution = rebalance(attribution_weighted_sum(&attr_terms), activity.cycles);
@@ -1146,9 +1020,9 @@ impl<'a> WarmCursor<'a> {
     }
 }
 
-/// The shared sampled-measurement machinery: partition, cluster, and
-/// measure (cold prefix + representatives) through the checkpoint-backed
-/// warm cursor and the engine's content-addressed result cache.
+/// The measurement half of SimPoints: partition, cluster, and measure
+/// (cold prefix + representatives) through the checkpoint-backed warm
+/// cursor and the engine's content-addressed result cache.
 struct SampleCore {
     ivs: Vec<Interval>,
     total_ops: u64,
@@ -1327,9 +1201,6 @@ pub fn run_traces_sampled_with(
                 power_est: result.core_power(),
                 cpi_bound_rel: 0.0,
                 power_bound_rel: 0.0,
-                cv_cpi_error_pct: 0.0,
-                cv_power_error_pct: 0.0,
-                predicted_intervals: 0,
             };
             SampledScenario { result, stats }
         }
@@ -1358,29 +1229,15 @@ fn run_sampled_full(
             interval_ops,
             k,
             warmup_ops,
-        } => run_simpoints(cfg, name, views, interval_ops, k, warmup_ops, None, store),
-        SamplingMode::Learned {
-            interval_ops,
-            k,
-            max_features,
-        } => run_simpoints(
-            cfg,
-            name,
-            views,
-            interval_ops,
-            k,
-            interval_ops / 8,
-            Some(max_features),
-            store,
-        ),
+        } => run_simpoints(cfg, name, views, interval_ops, k, warmup_ops, store),
         SamplingMode::Bound { target_mpct } => run_bound(cfg, name, views, target_mpct, store),
         SamplingMode::Exact => unreachable!("exact handled by the caller"),
     }
 }
 
-/// The shared SimPoints machinery; `learned_features = Some(F)` layers
-/// the learned fast-forward on top.
-#[allow(clippy::too_many_arguments)]
+/// SimPoints: measure the cold prefix and one representative per
+/// cluster, reconstitute the rest from the representatives, and bound the
+/// estimate.
 fn run_simpoints(
     cfg: &CoreConfig,
     name: &str,
@@ -1388,7 +1245,6 @@ fn run_simpoints(
     interval_ops: usize,
     k: usize,
     warmup_ops: usize,
-    learned_features: Option<usize>,
     store: &CkptStore,
 ) -> (SampledScenario, SynthParts) {
     let SampleCore {
@@ -1402,82 +1258,13 @@ fn run_simpoints(
         warmup_total,
     } = sample_core(cfg, name, views, interval_ops, k, warmup_ops, store);
 
-    // Learned fast-forward: fit counter->CPI and counter->power models on
-    // the simulated representatives, predict the skipped intervals.
-    let mut cv_cpi = 0.0;
-    let mut cv_power = 0.0;
-    let mut predicted: Vec<Option<(f64, f64)>> = vec![None; ivs.len()];
-    if let Some(max_features) = learned_features {
-        // Every detailed measurement — representatives and cold-prefix
-        // intervals alike — is a training row.
-        let mut cpi_data = Dataset::new(feature_names());
-        let mut power_data = Dataset::new(feature_names());
-        for r in measured.iter().flatten() {
-            let row = interval_features(&ivs[r.interval]);
-            cpi_data.push(row.clone(), r.cpi);
-            power_data.push(row, r.power);
-        }
-        let opts = FitOptions::default();
-        let models = forward_select_loo(&cpi_data, max_features, opts).zip(forward_select_loo(
-            &power_data,
-            max_features,
-            opts,
-        ));
-        if let Some((cpi_cv, power_cv)) = models {
-            cv_cpi = cpi_cv.cv_error_pct;
-            cv_power = power_cv.cv_error_pct;
-            for (i, iv) in ivs.iter().enumerate() {
-                if measured[i].is_none() {
-                    let row = interval_features(iv);
-                    // Predictions are clamped to the observed training
-                    // range: extrapolating a linear model past its
-                    // training hull is how learned fast-forwards go wrong.
-                    let clamp = |v: f64, lo: f64, hi: f64| v.max(lo).min(hi);
-                    let (cpi_lo, cpi_hi) = min_max(measured.iter().flatten().map(|r| r.cpi));
-                    let (p_lo, p_hi) = min_max(measured.iter().flatten().map(|r| r.power));
-                    predicted[i] = Some((
-                        clamp(cpi_cv.model.predict(&row), cpi_lo, cpi_hi),
-                        clamp(power_cv.model.predict(&row), p_lo, p_hi),
-                    ));
-                }
-            }
-        }
-    }
-    let predicted_intervals = predicted.iter().filter(|p| p.is_some()).count() as u64;
-
-    // Per-interval resolution: an interval's own detailed measurement
-    // wins; otherwise a learned prediction; otherwise its cluster's
-    // representative.
-    let cpi_of = |i: usize| {
-        measured[i].as_ref().map_or_else(
-            || predicted[i].map_or_else(|| reps[cluster_of[i]].cpi, |(cpi, _)| cpi),
-            |m| m.cpi,
-        )
-    };
-    let power_of = |i: usize| {
-        measured[i].as_ref().map_or_else(
-            || predicted[i].map_or_else(|| reps[cluster_of[i]].power, |(_, p)| p),
-            |m| m.power,
-        )
-    };
-    let rec = reconstitute(
-        cfg,
-        name,
-        views,
-        &ivs,
-        &measured,
-        &cluster_of,
-        &reps,
-        &cpi_of,
-        &power_of,
-    );
     let Reconstituted {
         result,
         cpi_est,
         power_est,
         terms,
         interval_cycles,
-    } = rec;
+    } = reconstitute(cfg, name, views, &ivs, &measured, &cluster_of, &reps);
 
     // Boundary residue: per-interval measurement can be off by a
     // roughly constant number of cycles (functional-vs-detailed state
@@ -1490,7 +1277,7 @@ fn run_simpoints(
         (total_ops - simulated_ops) as f64 / total_ops.max(1) as f64,
         measured.iter().flatten().count(),
     );
-    let mut cpi_bound = boundary_rel
+    let cpi_bound = boundary_rel
         + spread_bound_rel(
             |r| r.cpi,
             cpi_est,
@@ -1501,7 +1288,7 @@ fn run_simpoints(
             total_ops,
             floor,
         );
-    let mut power_bound = boundary_rel
+    let power_bound = boundary_rel
         + spread_bound_rel(
             |r| r.power,
             power_est,
@@ -1512,18 +1299,7 @@ fn run_simpoints(
             total_ops,
             floor,
         );
-    if learned_features.is_some() {
-        // The learned estimate inherits whichever is worse: cluster
-        // spread or the predictor's cross-validated error (with safety).
-        cpi_bound = cpi_bound.max(cv_cpi / 100.0 * CV_SAFETY + floor);
-        power_bound = power_bound.max(cv_power / 100.0 * CV_SAFETY + floor);
-    }
-
-    let mode = if let Some(f) = learned_features {
-        format!("learned:{interval_ops}:{k}:{f}")
-    } else {
-        format!("simpoints:{interval_ops}:{k}:{warmup_ops}")
-    };
+    let mode = format!("simpoints:{interval_ops}:{k}:{warmup_ops}");
     (
         SampledScenario {
             result,
@@ -1539,9 +1315,6 @@ fn run_simpoints(
                 power_est,
                 cpi_bound_rel: cpi_bound,
                 power_bound_rel: power_bound,
-                cv_cpi_error_pct: cv_cpi,
-                cv_power_error_pct: cv_power,
-                predicted_intervals,
             },
         },
         SynthParts {
@@ -1573,8 +1346,7 @@ fn run_bound(
     let mut rounds = 0u64;
     loop {
         rounds += 1;
-        let (mut s, parts) =
-            run_simpoints(cfg, name, views, interval_ops, k, warmup_ops, None, store);
+        let (mut s, parts) = run_simpoints(cfg, name, views, interval_ops, k, warmup_ops, store);
         let bound = s.stats.cpi_bound_rel.max(s.stats.power_bound_rel);
         if bound <= target {
             p10_obs::counter("sampling.bound_rounds", rounds);
@@ -1606,9 +1378,6 @@ fn run_bound(
         power_est: result.core_power(),
         cpi_bound_rel: 0.0,
         power_bound_rel: 0.0,
-        cv_cpi_error_pct: 0.0,
-        cv_power_error_pct: 0.0,
-        predicted_intervals: 0,
     };
     #[allow(clippy::cast_precision_loss)]
     let parts = SynthParts {
@@ -1737,259 +1506,6 @@ pub fn run_traces_sampled_traced(
     (s, trace)
 }
 
-fn min_max(vals: impl Iterator<Item = f64>) -> (f64, f64) {
-    vals.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-        (lo.min(v), hi.max(v))
-    })
-}
-
-/// Linear CPI/power predictors fitted across *several* workloads'
-/// measured intervals, so a new workload can fast-forward from one
-/// representative interval ([`run_benchmark_predicted`]). Predictions are clamped
-/// to the training range; the reported bounds carry the leave-one-out
-/// cross-validated error with the usual safety factor.
-pub struct CrossWorkloadModel {
-    cpi: CvModel,
-    power: CvModel,
-    cpi_range: (f64, f64),
-    power_range: (f64, f64),
-    /// Detailed interval measurements the predictors were fitted on.
-    pub training_rows: usize,
-}
-
-impl CrossWorkloadModel {
-    /// Leave-one-out CV error of the CPI predictor (%).
-    #[must_use]
-    pub fn cv_cpi_error_pct(&self) -> f64 {
-        self.cpi.cv_error_pct
-    }
-
-    /// Leave-one-out CV error of the power predictor (%).
-    #[must_use]
-    pub fn cv_power_error_pct(&self) -> f64 {
-        self.power.cv_error_pct
-    }
-}
-
-/// Trains one cross-workload fast-forward model: each training benchmark
-/// is partitioned, clustered, and measured exactly as a sampled run
-/// would (sharing `store` checkpoints and cached measurements with those
-/// runs), and every detailed interval becomes a training row. Returns
-/// `None` with fewer than four rows or when forward selection finds no
-/// usable feature.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn train_cross_workload(
-    cfg: &CoreConfig,
-    benches: &[Benchmark],
-    seed: u64,
-    max_ops: u64,
-    interval_ops: usize,
-    k: usize,
-    max_features: usize,
-    store: &CkptStore,
-) -> Option<CrossWorkloadModel> {
-    // The benchmarks are independent (each its own warm class), so they
-    // measure on the engine pool; rows are pushed in benchmark order.
-    let per_bench = runner::run_jobs_par(benches, |_, bench| {
-        let views = scenario::benchmark_views(cfg, bench, seed, max_ops);
-        let core = sample_core(
-            cfg,
-            &bench.name,
-            &views,
-            interval_ops,
-            k,
-            interval_ops / 8,
-            store,
-        );
-        core.measured
-            .iter()
-            .flatten()
-            .map(|m| (interval_features(&core.ivs[m.interval]), m.cpi, m.power))
-            .collect::<Vec<_>>()
-    });
-    let mut cpi_data = Dataset::new(feature_names());
-    let mut power_data = Dataset::new(feature_names());
-    let mut cpi_vals = Vec::new();
-    let mut power_vals = Vec::new();
-    for (row, cpi, power) in per_bench.into_iter().flatten() {
-        cpi_data.push(row.clone(), cpi);
-        power_data.push(row, power);
-        cpi_vals.push(cpi);
-        power_vals.push(power);
-    }
-    if cpi_data.len() < 4 {
-        return None;
-    }
-    let opts = FitOptions::default();
-    let (cpi, power) = forward_select_loo(&cpi_data, max_features, opts)
-        .zip(forward_select_loo(&power_data, max_features, opts))?;
-    Some(CrossWorkloadModel {
-        cpi,
-        power,
-        cpi_range: min_max(cpi_vals.iter().copied()),
-        power_range: min_max(power_vals.iter().copied()),
-        training_rows: cpi_vals.len(),
-    })
-}
-
-/// Fast-forwards a benchmark through a [`CrossWorkloadModel`]: only the
-/// anchor interval — the medoid, whose feature row sits closest to the
-/// trace's mean feature vector, so it represents steady state rather
-/// than the cold-start transient — is simulated in detail (sharing its
-/// cache key and warm-state checkpoints with [`run_traces_sampled`]'s
-/// interval measurements); every other interval's CPI and power come
-/// from the cross-workload predictors, rescaled by the anchor's
-/// measured-over-predicted ratio so the workload-level offset is
-/// calibrated out.
-/// The counter mix is scaled from the anchor, so this is the cheapest —
-/// and loosest — mode; its bounds carry the predictors' CV error.
-///
-/// # Panics
-///
-/// Panics if the benchmark produces no ops.
-#[must_use]
-pub fn run_benchmark_predicted(
-    cfg: &CoreConfig,
-    bench: &Benchmark,
-    seed: u64,
-    max_ops: u64,
-    interval_ops: usize,
-    model: &CrossWorkloadModel,
-    store: &CkptStore,
-) -> SampledScenario {
-    let views = scenario::benchmark_views(cfg, bench, seed, max_ops);
-    let ivs = partition(cfg, &bench.name, &views, interval_ops, store);
-    let total_ops: u64 = ivs.iter().map(|iv| iv.ops).sum();
-    assert!(total_ops > 0, "predicted run of an empty trace");
-    let warmup_ops = interval_ops / 8;
-    let rows: Vec<Vec<f64>> = ivs.iter().map(interval_features).collect();
-    let dim = rows[0].len();
-    #[allow(clippy::cast_precision_loss)]
-    let mean: Vec<f64> = (0..dim)
-        .map(|j| rows.iter().map(|r| r[j]).sum::<f64>() / rows.len() as f64)
-        .collect();
-    let anchor_idx = rows
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let d: f64 = r.iter().zip(&mean).map(|(a, b)| (a - b) * (a - b)).sum();
-            (i, d)
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-        .map(|(i, _)| i)
-        .expect("non-empty partition");
-    let vsig = views_sig(&bench.name, &views);
-    let timing_json =
-        serde_json::to_string(&runner::timing_projection(cfg)).expect("config serializes");
-    let class = warm_class_key(cfg, &bench.name, &views, interval_ops);
-    let mut cursor = WarmCursor::new(cfg, &ivs, store, class);
-    let key =
-        format!("sampmeas|{timing_json}|{vsig:016x}|{interval_ops}|{warmup_ops}|{anchor_idx}");
-    let m0 = runner::engine().cached("sample-interval", &key, || {
-        simulate_interval(
-            cfg,
-            &views,
-            interval_ops,
-            anchor_idx,
-            warmup_ops,
-            cursor.state_at(anchor_idx),
-        )
-    });
-    let mut measured: Vec<Option<RepMeasurement>> = (0..ivs.len()).map(|_| None).collect();
-    let anchor_warmup = m0.warmup_ops;
-    measured[anchor_idx] = Some(m0.clone());
-    let reps = vec![m0];
-    let cluster_of = vec![0usize; ivs.len()];
-    let clamp = |v: f64, (lo, hi): (f64, f64)| v.max(lo).min(hi);
-    // Anchor-ratio calibration: the anchor interval is measured in
-    // detail anyway, so the ratio between its measured CPI/power and the
-    // model's prediction for that same interval captures the workload-
-    // level offset the cross-workload fit cannot (training workloads can
-    // sit at a very different operating point than the target). The
-    // ratio is clamped so a degenerate anchor prediction cannot blow up
-    // every other interval.
-    let anchor = &reps[0];
-    let anchor_row = &rows[anchor_idx];
-    let scale = |measured: f64, raw: f64, range: (f64, f64)| {
-        let base = clamp(raw, range);
-        if base.abs() > 1e-9 {
-            (measured / base).clamp(0.1, 10.0)
-        } else {
-            1.0
-        }
-    };
-    let cpi_scale = scale(
-        anchor.cpi,
-        model.cpi.model.predict(anchor_row),
-        model.cpi_range,
-    );
-    let power_scale = scale(
-        anchor.power,
-        model.power.model.predict(anchor_row),
-        model.power_range,
-    );
-    let predicted: Vec<Option<(f64, f64)>> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            if i == anchor_idx {
-                return None;
-            }
-            Some((
-                clamp(model.cpi.model.predict(row), model.cpi_range) * cpi_scale,
-                clamp(model.power.model.predict(row), model.power_range) * power_scale,
-            ))
-        })
-        .collect();
-    let cpi_of = |i: usize| {
-        measured[i]
-            .as_ref()
-            .map_or_else(|| predicted[i].expect("predicted").0, |m| m.cpi)
-    };
-    let power_of = |i: usize| {
-        measured[i]
-            .as_ref()
-            .map_or_else(|| predicted[i].expect("predicted").1, |m| m.power)
-    };
-    let rec = reconstitute(
-        cfg,
-        &bench.name,
-        &views,
-        &ivs,
-        &measured,
-        &cluster_of,
-        &reps,
-        &cpi_of,
-        &power_of,
-    );
-    let simulated_ops = ivs[anchor_idx].ops;
-    let skipped_ops = total_ops - simulated_ops;
-    #[allow(clippy::cast_precision_loss)]
-    let floor = bound_floor_rel(skipped_ops as f64 / total_ops as f64, 1);
-    #[allow(clippy::cast_precision_loss)]
-    let boundary_rel = BOUNDARY_RESIDUE_CYCLES / (interval_ops as f64 * rec.cpi_est.max(1e-3));
-    SampledScenario {
-        result: rec.result,
-        stats: SamplingStats {
-            mode: format!("xlearned:{interval_ops}"),
-            intervals: ivs.len() as u64,
-            clusters: 1,
-            total_ops,
-            simulated_ops,
-            skipped_ops,
-            warmup_ops: anchor_warmup,
-            cpi_est: rec.cpi_est,
-            power_est: rec.power_est,
-            cpi_bound_rel: boundary_rel + model.cpi.cv_error_pct / 100.0 * CV_SAFETY + floor,
-            power_bound_rel: boundary_rel + model.power.cv_error_pct / 100.0 * CV_SAFETY + floor,
-            cv_cpi_error_pct: model.cpi.cv_error_pct,
-            cv_power_error_pct: model.power.cv_error_pct,
-            predicted_intervals: (ivs.len() - 1) as u64,
-        },
-    }
-}
-
 /// [`run_traces_sampled`] over a benchmark's per-thread-seeded views —
 /// the sampled twin of [`scenario::run_benchmark`].
 #[must_use]
@@ -2044,7 +1560,6 @@ mod tests {
         for text in [
             "exact",
             "simpoints:1000:8:125",
-            "learned:1000:8:4",
             "bound:5",
             "bound:2.5",
             "bound:0.25",
@@ -2069,14 +1584,6 @@ mod tests {
                 warmup_ops: 0
             }
         );
-        assert_eq!(
-            SamplingMode::parse("learned:800:4").expect("parses"),
-            SamplingMode::Learned {
-                interval_ops: 800,
-                k: 4,
-                max_features: 4
-            }
-        );
         // A trailing percent sign is tolerated and normalized away.
         assert_eq!(
             SamplingMode::parse("bound:5%").expect("parses"),
@@ -2095,7 +1602,7 @@ mod tests {
             "simpoints:0:4",
             "simpoints:100:0",
             "simpoints:100:4:5:6",
-            "learned:100",
+            "learned:1000:8:4",
             "exact:1",
             "simpoints:x:4",
             "bound",
@@ -2465,28 +1972,5 @@ mod tests {
         assert_eq!(trace.total(), s.result.sim.activity);
         let cycle_sum: u64 = trace.windows.iter().map(|w| w.cycles).sum();
         assert_eq!(cycle_sum, s.result.sim.activity.cycles);
-    }
-
-    #[test]
-    fn cross_workload_model_predicts_an_unseen_benchmark() {
-        let store = CkptStore::new(None);
-        let cfg = CoreConfig::power10();
-        let suite = specint_like();
-        let model = train_cross_workload(&cfg, &suite[0..3], 11, 5_000, 1_000, 3, 4, &store)
-            .expect("enough training rows");
-        assert!(model.training_rows >= 4);
-        let s = run_benchmark_predicted(&cfg, &suite[3], 11, 5_000, 1_000, &model, &store);
-        assert_eq!(s.stats.mode, "xlearned:1000");
-        assert_eq!(s.result.sim.activity.completed, s.stats.total_ops);
-        assert_eq!(s.stats.intervals, 5);
-        assert_eq!(s.stats.predicted_intervals, 4);
-        assert_eq!(s.stats.clusters, 1);
-        assert!(s.stats.simulated_ops < s.stats.total_ops);
-        assert!(s.stats.cpi_est > 0.0 && s.stats.power_est > 0.0);
-        assert!(s.stats.cpi_bound_rel > 0.0 && s.stats.power_bound_rel > 0.0);
-        assert_eq!(
-            s.result.sim.attribution.total(),
-            s.result.sim.activity.cycles
-        );
     }
 }

@@ -29,4 +29,4 @@ mod select;
 pub use dataset::Dataset;
 pub use linalg::{solve_normal_equations, Gram};
 pub use regress::{fit, FitCache, FitOptions, LinearModel};
-pub use select::{forward_select, forward_select_loo, input_sweep, CvModel, SweepPoint};
+pub use select::{forward_select, input_sweep, SweepPoint};

@@ -1,7 +1,7 @@
 //! Greedy forward feature selection and input-count sweeps.
 
 use crate::dataset::Dataset;
-use crate::regress::{fit, FitCache, FitOptions, LinearModel};
+use crate::regress::{FitCache, FitOptions, LinearModel};
 use serde::{Deserialize, Serialize};
 
 /// One point of an accuracy-vs-#inputs curve (Figs. 11 and 15a).
@@ -84,91 +84,6 @@ pub fn input_sweep(data: &Dataset, max_features: usize, opts: FitOptions) -> Vec
     out
 }
 
-/// A forward-selected model together with its leave-one-out
-/// cross-validated error — what a learned fast-forward reports as its
-/// expected per-interval prediction accuracy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CvModel {
-    /// The model fitted on every sample with the forward-selected
-    /// feature order.
-    pub model: LinearModel,
-    /// Leave-one-out mean absolute percentage error (relative to the
-    /// mean target, like [`LinearModel::mean_abs_pct_error`]).
-    pub cv_error_pct: f64,
-}
-
-/// Forward-selects up to `max_features` on the full dataset, then scores
-/// the selection by leave-one-out cross-validation: for each sample, the
-/// chosen feature set is refitted on the remaining samples (same Gram
-/// cache, one row down-dated per fold is not needed — folds are small
-/// enough to rebuild) and used to predict the held-out sample.
-///
-/// Returns `None` for datasets with fewer than 3 samples (no meaningful
-/// fold structure) or when no fit converges.
-#[must_use]
-pub fn forward_select_loo(
-    data: &Dataset,
-    max_features: usize,
-    opts: FitOptions,
-) -> Option<CvModel> {
-    if data.len() < 3 {
-        return None;
-    }
-    let order = forward_select_full(data, max_features, opts);
-    let model = fit(data, &order, opts)?;
-    let scale = data.target_mean().abs().max(1e-12);
-    let mut abs_err_sum = 0.0;
-    for held in 0..data.len() {
-        let mut fold = Dataset::new(data.feature_names.clone());
-        for (i, (row, &t)) in data.rows.iter().zip(data.targets.iter()).enumerate() {
-            if i != held {
-                fold.push(row.clone(), t);
-            }
-        }
-        let m = fit(&fold, &order, opts)?;
-        abs_err_sum += (m.predict(&data.rows[held]) - data.targets[held]).abs();
-    }
-    Some(CvModel {
-        model,
-        cv_error_pct: abs_err_sum / data.len() as f64 / scale * 100.0,
-    })
-}
-
-/// [`forward_select`] without the held-out split: selects on training
-/// error over the whole dataset. Used when the dataset is too small to
-/// spare a test partition (the caller cross-validates instead).
-fn forward_select_full(data: &Dataset, max_features: usize, opts: FitOptions) -> Vec<usize> {
-    let cache = FitCache::new(data);
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut best_err = f64::INFINITY;
-    while chosen.len() < max_features.min(data.width()) {
-        let mut best_candidate: Option<(usize, f64)> = None;
-        for f in 0..data.width() {
-            if chosen.contains(&f) {
-                continue;
-            }
-            let mut trial = chosen.clone();
-            trial.push(f);
-            let Some(m) = cache.fit(&trial, opts) else {
-                continue;
-            };
-            let err = m.mean_abs_pct_error(data);
-            if best_candidate.is_none_or(|(_, e)| err < e) {
-                best_candidate = Some((f, err));
-            }
-        }
-        let Some((f, err)) = best_candidate else {
-            break;
-        };
-        if err > best_err * 4.0 && chosen.len() >= 2 {
-            break;
-        }
-        best_err = best_err.min(err);
-        chosen.push(f);
-    }
-    chosen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,26 +149,5 @@ mod tests {
         let d = layered(200);
         let sweep = input_sweep(&d, 1, FitOptions::default());
         assert_eq!(sweep[0].model.feature_names, vec!["big".to_owned()]);
-    }
-
-    #[test]
-    fn loo_cross_validation_scores_a_learnable_target() {
-        let d = layered(40);
-        let cv = forward_select_loo(&d, 3, FitOptions::default()).expect("fits");
-        // The target is exactly linear in the first three features, so
-        // held-out prediction must recover it almost perfectly even from
-        // 39-sample folds.
-        assert!(cv.cv_error_pct < 1.0, "cv error {}", cv.cv_error_pct);
-        assert_eq!(cv.model.feature_names[0], "big");
-        // And the reported model predicts the training rows it saw.
-        assert!(cv.model.mean_abs_pct_error(&d) < 1.0);
-    }
-
-    #[test]
-    fn loo_needs_at_least_three_samples() {
-        let mut d = Dataset::new(vec!["x".into()]);
-        d.push(vec![1.0], 1.0);
-        d.push(vec![2.0], 2.0);
-        assert!(forward_select_loo(&d, 1, FitOptions::default()).is_none());
     }
 }

@@ -18,9 +18,25 @@ fn rel_err(est: f64, truth: f64) -> f64 {
     (est - truth).abs() / truth.abs().max(1e-12)
 }
 
+/// Measured error as a share of the printed bound: 0 for an exact
+/// estimate (even under a zero bound), at most 1 inside the contract.
+fn bound_ratio(err: f64, bound: f64) -> f64 {
+    if err == 0.0 {
+        0.0
+    } else {
+        err / bound
+    }
+}
+
 /// Runs one benchmark exact and sampled, asserting the accuracy contract
-/// and the coverage invariants.
-fn assert_within_bound(cfg: &CoreConfig, bench_idx: usize, ops: u64, mode: &SamplingMode) {
+/// and the coverage invariants. Returns the CPI and power
+/// [`bound_ratio`]s.
+fn assert_within_bound(
+    cfg: &CoreConfig,
+    bench_idx: usize,
+    ops: u64,
+    mode: &SamplingMode,
+) -> (f64, f64) {
     let suite = specint_like();
     let bench = &suite[bench_idx];
     let exact = scenario::run_benchmark(cfg, bench, 42, ops);
@@ -60,9 +76,47 @@ fn assert_within_bound(cfg: &CoreConfig, bench_idx: usize, ops: u64, mode: &Samp
         power_err * 100.0,
         s.stats.power_bound_rel * 100.0
     );
+    (
+        bound_ratio(cpi_err, s.stats.cpi_bound_rel),
+        bound_ratio(power_err, s.stats.power_bound_rel),
+    )
 }
 
-/// The PR's workload slice (leela / exchange / xz analogues): one cache
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Bound tightness over one grid: every error/bound ratio must be finite
+/// and at most 1, and the medians are printed (run with `--nocapture`)
+/// so a bound that is honest but needlessly loose shows as a small
+/// ratio.
+fn report_tightness(grid: &str, ratios: &[(f64, f64)]) {
+    for &(cpi, power) in ratios {
+        assert!(cpi.is_finite() && cpi <= 1.0, "{grid}: CPI ratio {cpi}");
+        assert!(
+            power.is_finite() && power <= 1.0,
+            "{grid}: power ratio {power}"
+        );
+    }
+    let cpi: Vec<f64> = ratios.iter().map(|r| r.0).collect();
+    let power: Vec<f64> = ratios.iter().map(|r| r.1).collect();
+    println!(
+        "{grid}: error/bound over {} runs: CPI median {:.3} max {:.3}  power median {:.3} max {:.3}",
+        ratios.len(),
+        median(cpi.clone()),
+        cpi.iter().fold(0.0f64, |a, &b| a.max(b)),
+        median(power.clone()),
+        power.iter().fold(0.0f64, |a, &b| a.max(b)),
+    );
+}
+
+/// The study's workload slice (leela / exchange / xz analogues): one cache
 /// warm-up heavy, one tight and predictable, one compressible-data mix.
 const BENCHES: [usize; 3] = [7, 8, 9];
 
@@ -76,26 +130,13 @@ fn simpoints_stays_within_bound_on_preset_grid() {
         k: 4,
         warmup_ops: 125,
     };
+    let mut ratios = Vec::new();
     for cfg in [CoreConfig::power9(), CoreConfig::power10()] {
         for idx in BENCHES {
-            assert_within_bound(&cfg, idx, 6100, &mode);
+            ratios.push(assert_within_bound(&cfg, idx, 6100, &mode));
         }
     }
-}
-
-/// The learned fast-forward honors the same contract (its bound folds in
-/// the cross-validated predictor error).
-#[test]
-fn learned_stays_within_bound_on_power10() {
-    let mode = SamplingMode::Learned {
-        interval_ops: 1000,
-        k: 4,
-        max_features: 4,
-    };
-    let cfg = CoreConfig::power10();
-    for idx in BENCHES {
-        assert_within_bound(&cfg, idx, 6100, &mode);
-    }
+    report_tightness("simpoints preset grid", &ratios);
 }
 
 /// Target-bound auto-tuning honors the same accuracy contract, and in
@@ -108,9 +149,10 @@ fn bound_mode_meets_its_target_or_measures_everything() {
         target_mpct: 10_000,
     };
     let suite = specint_like();
+    let mut ratios = Vec::new();
     for cfg in [CoreConfig::power9(), CoreConfig::power10()] {
         for idx in BENCHES {
-            assert_within_bound(&cfg, idx, 12_300, &mode);
+            ratios.push(assert_within_bound(&cfg, idx, 12_300, &mode));
             let s = run_benchmark_sampled(&cfg, &suite[idx], 42, 12_300, &mode);
             assert_eq!(s.stats.mode, "bound:10", "resolved mode label");
             assert!(
@@ -123,6 +165,7 @@ fn bound_mode_meets_its_target_or_measures_everything() {
             );
         }
     }
+    report_tightness("bound:10 grid", &ratios);
 }
 
 /// SMT partitioning: per-thread views are sliced at the same op indices,
@@ -136,9 +179,11 @@ fn simpoints_stays_within_bound_under_smt2() {
         k: 4,
         warmup_ops: 125,
     };
-    for idx in BENCHES {
-        assert_within_bound(&cfg, idx, 6100, &mode);
-    }
+    let ratios: Vec<(f64, f64)> = BENCHES
+        .iter()
+        .map(|&idx| assert_within_bound(&cfg, idx, 6100, &mode))
+        .collect();
+    report_tightness("simpoints SMT2 grid", &ratios);
 }
 
 /// Same inputs, same mode -> byte-identical serialized results and stats
