@@ -2,52 +2,42 @@
 //!
 //! Usage:
 //! ```text
-//! figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--no-trace-arena] [--trace-out FILE] [--sampling MODE]
+//! figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--sampling MODE]
 //! ```
-//! `--out DIR` captures each experiment's stdout into `DIR/<exp>.json`
-//! as well as printing it. `--jobs N` sets the worker-pool width
-//! (default: all CPUs) and `--no-cache` disables the on-disk result
-//! cache (`target/p10sim-cache`, override with `P10SIM_CACHE_DIR`); see
-//! `p10_core::runner`. Every experiment but `apex-speedup` (which times
-//! the host) stores its whole result in that cache, so a warm re-run
-//! only decodes it. `--no-trace-arena` (or `P10SIM_TRACE_ARENA=0`)
-//! forces the legacy synthesize-per-call trace path, bypassing the
-//! process-wide content-keyed trace arena — the A/B switch for checking
-//! that arena output is byte-identical (it mirrors `--no-cache`).
+//! Each experiment is one entry of [`REGISTRY`]: a `compute` that returns
+//! a serializable result and a `render` that prints it as text. `--json`
+//! prints the result as JSON instead, and `--out DIR` also writes that
+//! JSON, from the same run, to `DIR/<exp>.json`. `<experiment>` is an
+//! entry's name (an unknown one prints them all), `obsreport` or `all`;
+//! `dse`, `profile` and `sampling` run on demand only, which keeps
+//! `all`'s stdout stable across additions. `--jobs N` sets the
+//! worker-pool width (default: all CPUs) and `--no-cache` disables the
+//! on-disk result cache (`target/p10sim-cache`, override with
+//! `P10SIM_CACHE_DIR`); see `p10_core::runner`. Every experiment but
+//! `apex-speedup` and `sampling` (which time the host) and `dse` (which
+//! keeps its own journal) stores its whole result there, so a warm
+//! re-run only decodes it.
 //! `--sampling MODE` (or `P10SIM_SAMPLING`) selects sampled execution
 //! for every simulation point routed through the engine: `exact`
 //! (default, byte-identical reference), `simpoints:INTERVAL:K[:WARMUP]`,
-//! or `bound:PCT` (grow the cluster
-//! count until the reported error bound is at most PCT percent) — see
-//! `p10_core::sampling`. Sampled runs persist warm-state checkpoints
-//! under the engine's disk cache (override the directory with
-//! `P10SIM_CKPT_DIR`), so sweeps re-warm once per warm-equivalence
-//! class instead of once per config.
-//! `--trace-out FILE` (or the `P10SIM_TRACE` env
-//! var) writes an event trace via `p10_obs` — JSON lines by default, or
-//! a `chrome://tracing`/Perfetto-loadable trace-event file with
-//! `--trace-format chrome` (or `P10SIM_TRACE_FORMAT`); either way an
-//! end-of-run summary table lands on stderr. `--obs-json FILE` (or
-//! `P10SIM_OBS_JSON`) additionally serializes that summary as one JSON
-//! object for scripts.
+//! or `bound:PCT` (grow the cluster count until the reported error bound
+//! is at most PCT percent) — see `p10_core::sampling`. Sampled runs
+//! persist warm-state checkpoints under the engine's disk cache
+//! (override the directory with `P10SIM_CKPT_DIR`).
+//! `--trace-out FILE` (or `P10SIM_TRACE`) writes an event trace via
+//! `p10_obs` — JSON lines by default, or a Perfetto-loadable trace-event
+//! file with `--trace-format chrome` (or `P10SIM_TRACE_FORMAT`); either
+//! way an end-of-run summary table lands on stderr, and `--obs-json FILE`
+//! (or `P10SIM_OBS_JSON`) also writes it as one JSON object.
 //!
 //! Every run also appends one `RunRecord` JSON line to the persistent
 //! run ledger (`target/p10sim-ledger/`, overridable with `P10SIM_LEDGER`
 //! or `--ledger-dir`, disabled with `--no-ledger`) — see
-//! `p10_obs::ledger`. The `obsreport` pseudo-experiment reads that
-//! history back: it prints wall-time/cache/coverage trends for the
-//! latest run against a baseline (`--baseline` selects one; default is
-//! the previous comparable run) and with `--gate PCT` exits non-zero
-//! when the latest run regressed more than `PCT` percent (deltas under
-//! `--min-s` seconds never gate). `<experiment>` is one of:
-//! `table1 fig2 fig4 fig5 fig6 socket fig10 fig11 fig12 fig13 fig14
-//! fig15a fig15b flushes coverage apex-speedup wof tracepoints
-//! sensitivity smt tracking droop dse profile sampling obsreport all`
-//! — `dse` (the design-space Pareto sweep), `profile` (the
-//! cycle-attribution tables), `sampling` (the exact-vs-sampled
-//! error/speedup study, whose wall-clock numbers vary run to run) and
-//! `obsreport` run on demand only and are not part of `all`, which
-//! keeps `all`'s stdout stable across additions.
+//! `p10_obs::ledger`. `obsreport` reads that history back: it prints the
+//! latest run's trends against a baseline (`--baseline`; default: the
+//! previous comparable run) and with `--gate PCT` exits non-zero when the
+//! latest run regressed more than `PCT` percent (deltas under `--min-s`
+//! seconds never gate).
 //!
 //! Stdout discipline: ledger, trace, and obs-json outputs never touch
 //! experiment stdout — `figures all` stdout is byte-identical with all
@@ -61,38 +51,14 @@ use p10_core::powerstudies::{
 };
 use p10_core::runner;
 use p10_core::sampling::{self, SamplingMode};
-use p10_core::{ablation, flush, gemm, inference, rasstudy, scenario, socket, table1, tracestudy};
+use p10_core::{
+    ablation, flush, gemm, inference, rasstudy, samplingstudy, scenario, socket, table1, tracestudy,
+};
 use p10_kernels::models::{bert_large, resnet50};
 use p10_powermgmt::wof;
 use p10_uarch::CoreConfig;
 use p10_workloads::chopstix;
 use serde::{Deserialize, Serialize};
-use serde_json::json;
-
-const EXPERIMENTS: [&str; 22] = [
-    "table1",
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "socket",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15a",
-    "fig15b",
-    "flushes",
-    "coverage",
-    "apex-speedup",
-    "wof",
-    "tracepoints",
-    "sensitivity",
-    "smt",
-    "tracking",
-    "droop",
-];
 
 struct Opts {
     json: bool,
@@ -100,7 +66,6 @@ struct Opts {
     out: Option<std::path::PathBuf>,
     jobs: usize,
     no_cache: bool,
-    no_trace_arena: bool,
     trace_out: Option<std::path::PathBuf>,
     trace_format: Option<p10_obs::TraceFormat>,
     obs_json: Option<std::path::PathBuf>,
@@ -115,16 +80,14 @@ struct Opts {
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--no-trace-arena] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]"
+        "usage: figures <experiment> [--json] [--ops N] [--out DIR] [--jobs N] [--no-cache] [--trace-out FILE] [--trace-format jsonl|chrome] [--obs-json FILE] [--ledger-dir DIR] [--no-ledger] [--sampling MODE]"
     );
     eprintln!(
         "       figures obsreport [--ledger-dir DIR] [--baseline SEL] [--gate PCT] [--min-s SECS]"
     );
     eprintln!("sampling modes: exact | simpoints:INTERVAL:K[:WARMUP] | bound:PCT (0 < PCT <= 100)");
-    eprintln!(
-        "experiments: {} dse profile sampling obsreport all",
-        EXPERIMENTS.join(" ")
-    );
+    let names: Vec<&str> = REGISTRY.iter().map(|e| e.name()).collect();
+    eprintln!("experiments: {} obsreport all", names.join(" "));
     std::process::exit(2);
 }
 
@@ -150,7 +113,6 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         out: None,
         jobs: 0,
         no_cache: false,
-        no_trace_arena: false,
         trace_out: None,
         trace_format: None,
         obs_json: None,
@@ -173,7 +135,6 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         match arg {
             "--json" => opts.json = true,
             "--no-cache" => opts.no_cache = true,
-            "--no-trace-arena" => opts.no_trace_arena = true,
             "--ops" => {
                 let v = flag_value("--ops");
                 opts.ops = v
@@ -233,13 +194,7 @@ fn parse_args(args: &[String]) -> (String, Opts) {
                 if what.is_some() {
                     usage_error(&format!("more than one experiment given ('{exp}')"));
                 }
-                if exp != "all"
-                    && exp != "dse"
-                    && exp != "profile"
-                    && exp != "sampling"
-                    && exp != "obsreport"
-                    && !EXPERIMENTS.contains(&exp)
-                {
+                if exp != "all" && exp != "obsreport" && !REGISTRY.iter().any(|e| e.name() == exp) {
                     usage_error(&format!("unknown experiment '{exp}'"));
                 }
                 what = Some(exp.to_owned());
@@ -252,67 +207,6 @@ fn parse_args(args: &[String]) -> (String, Opts) {
         usage_error("--gate/--baseline only apply to the obsreport experiment");
     }
     (what, opts)
-}
-
-/// With `--out DIR`, re-runs the experiment as a child process in
-/// `--json` mode and stores its stdout as `DIR/<name>.json` (the run
-/// itself still prints human-readable output first). Experiments are
-/// deterministic, so the artifact matches what was just shown — and the
-/// child shares the parent's warm on-disk cache, so it skips the
-/// simulations the parent just ran.
-fn write_artifact(opts: &Opts, name: &str) {
-    let Some(dir) = &opts.out else { return };
-    std::fs::create_dir_all(dir).expect("create --out dir");
-    let exe = std::env::current_exe().expect("own path");
-    let mut args = vec![
-        name.to_owned(),
-        "--json".to_owned(),
-        "--no-ledger".to_owned(),
-        "--ops".to_owned(),
-        opts.ops.to_string(),
-    ];
-    if opts.jobs != 0 {
-        args.push("--jobs".to_owned());
-        args.push(opts.jobs.to_string());
-    }
-    if opts.no_cache {
-        args.push("--no-cache".to_owned());
-    }
-    if opts.no_trace_arena {
-        args.push("--no-trace-arena".to_owned());
-    }
-    if let Some(mode) = &opts.sampling {
-        args.push("--sampling".to_owned());
-        args.push(mode.describe());
-    }
-    // The child is a throwaway re-run for the JSON payload: never let it
-    // append to (or clobber) the parent's trace, obs-json, or ledger.
-    let output = std::process::Command::new(exe)
-        .args(&args)
-        .env_remove("P10SIM_TRACE")
-        .env_remove("P10SIM_OBS_JSON")
-        .output()
-        .expect("re-run experiment for artifact");
-    assert!(
-        output.status.success(),
-        "artifact run for {name} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    // The experiment prints its header before the JSON payload; keep
-    // only the payload (first line starting with '{' or '[').
-    let text = String::from_utf8_lossy(&output.stdout);
-    let payload_start = text
-        .lines()
-        .scan(0usize, |off, line| {
-            let this = *off;
-            *off += line.len() + 1;
-            Some((this, line))
-        })
-        .find(|(_, line)| line.starts_with('{') || line.starts_with('['))
-        .map_or(0, |(off, _)| off);
-    std::fs::write(dir.join(format!("{name}.json")), &text[payload_start..])
-        .expect("write artifact");
-    println!("    [artifact: {}/{name}.json]", dir.display());
 }
 
 fn main() {
@@ -349,10 +243,6 @@ fn main() {
     });
     p10_obs::set_thread_name("main");
 
-    if opts.no_trace_arena {
-        p10_workloads::arena::set_enabled(false);
-    }
-
     // Sampling mode: --sampling wins, then P10SIM_SAMPLING, then exact.
     // Installed once before any experiment runs; the engine's benchmark
     // dispatch consults it for every simulation point.
@@ -387,52 +277,38 @@ fn main() {
         runner::fingerprint()
     );
 
-    let experiments: Vec<&str> = if what == "all" {
-        EXPERIMENTS.to_vec()
-    } else {
-        vec![what.as_str()]
-    };
+    let experiments: Vec<&dyn Run> = REGISTRY
+        .iter()
+        .copied()
+        .filter(|e| e.name() == what || (what == "all" && e.in_all()))
+        .collect();
 
-    for &e in &experiments {
-        let sp = p10_obs::span(e);
-        match e {
-            "table1" => do_table1(&opts),
-            "fig2" => do_fig2(&opts),
-            "fig4" => do_fig4(&opts),
-            "fig5" => do_fig5(&opts),
-            "fig6" => do_fig6(&opts),
-            "socket" => do_socket(&opts),
-            "fig10" => do_fig10(&opts),
-            "fig11" => do_fig11(&opts),
-            "fig12" => do_fig12(&opts),
-            "fig13" => do_fig13(&opts),
-            "fig14" => do_fig14(&opts),
-            "fig15a" => do_fig15a(&opts),
-            "fig15b" => do_fig15b(&opts),
-            "flushes" => do_flushes(&opts),
-            "coverage" => do_coverage(&opts),
-            "apex-speedup" => do_apex_speedup(&opts),
-            "wof" => do_wof(&opts),
-            "tracepoints" => do_tracepoints(&opts),
-            "sensitivity" => do_sensitivity(&opts),
-            "smt" => do_smt(&opts),
-            "tracking" => do_tracking(&opts),
-            "droop" => do_droop(&opts),
-            "dse" => do_dse(&opts),
-            "profile" => do_profile(&opts),
-            "sampling" => do_sampling(&opts),
-            // parse_args validated the experiment name already.
-            other => unreachable!("unvalidated experiment '{other}'"),
+    for e in &experiments {
+        let name = e.name();
+        let sp = p10_obs::span(name);
+        print!("{}", e.header());
+        let (json, text) = e.run(&opts);
+        if opts.json {
+            println!("{json}");
+        } else {
+            print!("{text}");
         }
         let secs = sp.finish();
-        eprintln!("[figures] {e}: {secs:.2}s");
-        write_artifact(&opts, e);
+        eprintln!("[figures] {name}: {secs:.2}s");
+        if let Some(dir) = &opts.out {
+            let path = dir.join(format!("{name}.json"));
+            std::fs::create_dir_all(dir).expect("create --out dir");
+            std::fs::write(&path, format!("{json}\n")).expect("write artifact");
+            eprintln!("[figures] artifact: {}", path.display());
+        }
     }
 
-    // Observation effectiveness: the share of observed simulation cycles
-    // delivered as closed-form spans instead of live steps (1.0 = every
-    // observed cycle rode the fast path). Derived from the counters the
-    // rtlsim/apex observers record, then shown as a gauge in the summary.
+    // Derived shares, each shown as a gauge in the summary when its
+    // counters moved: observed cycles delivered as closed-form spans
+    // instead of live steps; trace requests served zero-copy from the
+    // arena; trace ops simulated directly rather than reconstituted from
+    // a cluster representative (1.0 = exact execution); and warm
+    // prefixes restored from a saved checkpoint instead of replayed.
     let s = p10_obs::summary();
     let total = |name: &str| {
         s.counters
@@ -440,50 +316,33 @@ fn main() {
             .find(|c| c.name == name)
             .map_or(0, |c| c.value)
     };
-    let live = total("sim.observed_live_cycles");
-    let span = total("sim.observed_span_cycles");
-    if live + span > 0 {
-        #[allow(clippy::cast_precision_loss)]
-        p10_obs::gauge("sim.span_hit_rate", span as f64 / (live + span) as f64);
-    }
-
-    // Trace-arena effectiveness: the share of trace requests served
-    // zero-copy from a cached buffer (1.0 = every request after the first
-    // synthesis of each distinct trace).
-    let arena_hits = total("trace.arena.hits");
-    let arena_misses = total("trace.arena.misses");
-    if arena_hits + arena_misses > 0 {
-        #[allow(clippy::cast_precision_loss)]
-        p10_obs::gauge(
+    for (gauge, part, rest) in [
+        (
+            "sim.span_hit_rate",
+            "sim.observed_span_cycles",
+            "sim.observed_live_cycles",
+        ),
+        (
             "trace.arena.hit_rate",
-            arena_hits as f64 / (arena_hits + arena_misses) as f64,
-        );
-    }
-
-    // Sampled-execution coverage: the fraction of trace ops whose timing
-    // was simulated directly rather than reconstituted from a cluster
-    // representative (1.0 = exact execution).
-    let sampled = total("sim.sample.simulated_ops");
-    let skipped = total("sim.sample.skipped_ops");
-    if sampled + skipped > 0 {
-        #[allow(clippy::cast_precision_loss)]
-        p10_obs::gauge(
+            "trace.arena.hits",
+            "trace.arena.misses",
+        ),
+        (
             "sim.sample.coverage",
-            sampled as f64 / (sampled + skipped) as f64,
-        );
-    }
-
-    // Warm-checkpoint effectiveness: the share of boundary-state requests
-    // served from a saved checkpoint instead of replayed from scratch
-    // (1.0 = every warm prefix after the first run of each class).
-    let ck_hits = total("sampling.ckpt_hits");
-    let ck_misses = total("sampling.ckpt_misses");
-    if ck_hits + ck_misses > 0 {
-        #[allow(clippy::cast_precision_loss)]
-        p10_obs::gauge(
+            "sim.sample.simulated_ops",
+            "sim.sample.skipped_ops",
+        ),
+        (
             "sampling.ckpt.hit_rate",
-            ck_hits as f64 / (ck_hits + ck_misses) as f64,
-        );
+            "sampling.ckpt_hits",
+            "sampling.ckpt_misses",
+        ),
+    ] {
+        let (part, rest) = (total(part), total(rest));
+        if part + rest > 0 {
+            #[allow(clippy::cast_precision_loss)]
+            p10_obs::gauge(gauge, part as f64 / (part + rest) as f64);
+        }
     }
 
     // Worker utilization: each worker slot's busy seconds as a fraction
@@ -536,15 +395,15 @@ fn main() {
     }
     if !opts.no_ledger {
         let eng_cfg = runner::engine().config();
+        let names: Vec<&str> = experiments.iter().map(|e| e.name()).collect();
         let identity = p10_obs::ledger::RunIdentity {
             experiment: what.clone(),
             config_text: format!(
-                "jobs={}|disk_cache={}|arena={}|sampling={sampling_key}",
+                "jobs={}|disk_cache={}|sampling={sampling_key}",
                 eng_cfg.jobs,
                 eng_cfg.disk_cache.is_some(),
-                !opts.no_trace_arena
             ),
-            workload_text: format!("{}|ops={}", experiments.join(","), opts.ops),
+            workload_text: format!("{}|ops={}", names.join(","), opts.ops),
             sampling_key: sampling_key.clone(),
             ops: opts.ops,
             jobs: eng_cfg.jobs as u64,
@@ -765,262 +624,112 @@ fn do_obsreport(opts: &Opts) -> i32 {
     1
 }
 
-fn header(title: &str, paper: &str) {
-    println!("\n=== {title} ===");
-    println!("    paper reference: {paper}");
+/// One experiment: compute a result, then print it as JSON or as text.
+struct Experiment<R> {
+    name: &'static str,
+    /// The header's title and paper reference.
+    title: &'static str,
+    paper: &'static str,
+    /// Whether `figures all` runs it.
+    in_all: bool,
+    /// Whether its whole result goes through the engine cache (see
+    /// [`experiment`]); entries that time the host or keep their own
+    /// store say no.
+    cached: bool,
+    compute: fn(&Opts) -> R,
+    render: fn(&R) -> String,
+    /// The `--json` payload, also written by `--out`.
+    json: fn(&R) -> String,
 }
 
-/// An experiment's printed result through the engine cache, so a warm
-/// re-run only decodes it. The key is the experiment name, its `args`
-/// (every input the computation takes) and the sampling mode; the
-/// engine prefixes it with the code fingerprint, which covers the
-/// presets, suites and models the computation builds from source.
-fn experiment<T>(name: &str, args: &str, compute: impl FnOnce() -> T) -> T
+/// An [`Experiment`] with its result type erased, as `main` runs it.
+trait Run: Sync {
+    fn name(&self) -> &'static str;
+
+    fn in_all(&self) -> bool;
+
+    fn header(&self) -> String;
+
+    /// Computes the result, through the engine cache when the entry is
+    /// cached, and returns its JSON payload and its text.
+    fn run(&self, o: &Opts) -> (String, String);
+
+    /// The JSON payload and text of a result read back from `json`.
+    #[cfg(test)]
+    fn reprint(&self, json: &str) -> (String, String);
+}
+
+impl<R> Run for Experiment<R>
+where
+    R: Clone + Serialize + Deserialize + Send + Sync + 'static,
+{
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn in_all(&self) -> bool {
+        self.in_all
+    }
+
+    fn header(&self) -> String {
+        format!(
+            "\n=== {} ===\n    paper reference: {}\n",
+            self.title, self.paper
+        )
+    }
+
+    fn run(&self, o: &Opts) -> (String, String) {
+        let compute = || (self.compute)(o);
+        let r = if self.cached {
+            experiment(self.name, o.ops, compute)
+        } else {
+            compute()
+        };
+        ((self.json)(&r), (self.render)(&r))
+    }
+
+    #[cfg(test)]
+    fn reprint(&self, json: &str) -> (String, String) {
+        let r: R = serde_json::from_str(json)
+            .unwrap_or_else(|e| panic!("{}: golden JSON does not parse: {e}", self.name));
+        ((self.json)(&r), (self.render)(&r))
+    }
+}
+
+/// An experiment's whole result through the engine cache, so a warm
+/// re-run only decodes it. The key is the experiment's name, the op
+/// budget and the sampling mode: every other input is in the source,
+/// and the engine prefixes the key with the code fingerprint.
+fn experiment<T>(name: &str, ops: u64, compute: impl FnOnce() -> T) -> T
 where
     T: Clone + Serialize + Deserialize + Send + Sync + 'static,
 {
     let mode = sampling::active().map_or_else(|| "exact".to_owned(), |m| m.describe());
     runner::cached(
         name,
-        &format!("experiment|{name}|{args}|sampling={mode}"),
+        &format!("experiment|{name}|ops={ops}|sampling={mode}"),
         compute,
     )
 }
 
-/// A configuration as an [`experiment`] key argument.
-fn config_arg(cfg: &CoreConfig) -> String {
-    serde_json::to_string(cfg).expect("config serializes")
+fn pretty<T: Serialize>(r: &T) -> String {
+    serde_json::to_string_pretty(r).expect("json")
 }
 
-fn do_table1(o: &Opts) {
-    header(
-        "Table I — chip features & efficiency projections",
-        "2.6x core perf/W, up to 3x socket",
-    );
-    let t = table1::run_table1(&suite(), 42, o.ops);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&t).expect("json"));
-        return;
-    }
-    println!("SMT per core                  : {}", t.smt_per_core);
-    println!(
-        "L2 per SMT8 core              : {:.1} MiB (paper: 2 MiB)",
-        t.l2_per_core_mib
-    );
-    println!(
-        "MMU (TLB) ratio vs POWER9     : {:.1}x (paper: 4x)",
-        t.mmu_ratio
-    );
-    println!(
-        "Core perf ratio               : {:.2}x (paper: ~1.3x)",
-        t.perf_ratio
-    );
-    println!(
-        "Core power ratio              : {:.2}x (paper: ~0.5x)",
-        t.power_ratio
-    );
-    println!(
-        "Core performance/watt         : {:.2}x (paper: 2.6x)",
-        t.perf_per_watt_core
-    );
-    println!(
-        "Socket-view efficiency (SMT2) : {:.2}x (paper: up to 3x)",
-        t.socket_efficiency
-    );
+/// One pretty document per item, as `fig6` and `socket` print per model.
+fn pretty_each<T: Serialize>(items: &[T]) -> String {
+    let docs: Vec<String> = items.iter().map(pretty).collect();
+    docs.join("\n")
 }
 
-fn do_fig2(o: &Opts) {
-    header(
-        "Fig. 2 — optimal pipeline depth",
-        "optimum stable at 27 FO4 for 0.5x-1.0x power targets",
-    );
-    let f = p10_pipedepth::run_fig2(&p10_pipedepth::DepthParams::default(), &[0.25]);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    for &t in &f.power_targets {
-        println!("power target {t:.2}x: optimal FO4 = {}", f.optimal_fo4(t));
-    }
-    println!("curve (target=1.0): fo4 -> BIPS");
-    for p in f
-        .points
-        .iter()
-        .filter(|p| (p.power_target - 1.0).abs() < 1e-9)
-        .step_by(4)
-    {
-        println!("  {:>4.0}  {:.3}", p.fo4, p.bips);
-    }
+/// The inference models of Fig. 6 and the socket projections.
+fn models() -> [p10_kernels::models::ModelGraph; 2] {
+    [resnet50(100), bert_large(8, 384)]
 }
 
-fn do_fig4(o: &Opts) {
-    header(
-        "Fig. 4 — per-design-change performance gains",
-        "SMT8 SPECint: branch 4%, lat+BW 10%, L2 9%, decode+VSX 5%, queues 4%",
-    );
-    let f = ablation::run_fig4(&suite(), 42, o.ops / 2);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    println!(
-        "{:<20} {:>8} {:>8} {:>8}  max workload",
-        "group", "ST", "SMT", "max"
-    );
-    for r in &f.rows {
-        println!(
-            "{:<20} {:>7.1}% {:>7.1}% {:>7.1}%  {}",
-            r.group,
-            r.st_gain * 100.0,
-            r.smt_gain * 100.0,
-            r.max_gain * 100.0,
-            r.max_workload
-        );
-    }
-}
-
-fn do_fig5(o: &Opts) {
-    header(
-        "Fig. 5 — DGEMM flops/cycle & core power",
-        "P10 VSU 1.95x @ -32.2%; P10 MMA 5.47x @ -24.1%; 62.1%/87.1% of peak",
-    );
-    let f = experiment("fig5", &format!("ops={}", o.ops), || gemm::run_fig5(o.ops));
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    for p in [&f.p9_vsu, &f.p10_vsu, &f.p10_mma] {
-        println!(
-            "{:<24} {:>6.2} flops/cyc ({:>5.1}% of peak)  core power {:>7.1}",
-            p.label,
-            p.flops_per_cycle,
-            p.peak_utilization * 100.0,
-            p.core_power
-        );
-    }
-    println!(
-        "VSU speedup {:.2}x (paper 1.95x)   power {:+.1}% (paper -32.2%)",
-        f.vsu_speedup(),
-        f.vsu_power_delta() * 100.0
-    );
-    println!(
-        "MMA speedup {:.2}x (paper 5.47x)   power {:+.1}% (paper -24.1%)",
-        f.mma_speedup(),
-        f.mma_power_delta() * 100.0
-    );
-}
-
-/// Fig. 6 for one model, through the engine cache (the socket experiment
-/// needs the same runs, and warm re-runs skip them entirely).
-fn fig6_cached(model: &p10_kernels::models::ModelGraph, kernel_ops: u64) -> inference::Fig6Model {
-    runner::cached(
-        &format!("fig6 {} ops={kernel_ops}", model.name),
-        &format!(
-            "fig6|{}|{kernel_ops}",
-            serde_json::to_string(model).expect("model serializes")
-        ),
-        || inference::run_fig6(model, kernel_ops),
-    )
-}
-
-fn do_fig6(o: &Opts) {
-    header(
-        "Fig. 6 — end-to-end inference",
-        "ResNet-50: 2.25x/3.55x; BERT-Large: 2.08x/3.64x (no-MMA/MMA)",
-    );
-    let models = [resnet50(100), bert_large(8, 384)];
-    let figs = runner::run_jobs_par(&models, |_, m| fig6_cached(m, o.ops / 2));
-    for f in figs {
-        if o.json {
-            println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-            continue;
-        }
-        println!("-- {} --", f.model);
-        println!(
-            "{:<16} {:>12} {:>12} {:>7} {:>10}",
-            "config", "instructions", "cycles", "CPI", "GEMM-ratio"
-        );
-        for r in [&f.p9, &f.p10_no_mma, &f.p10_mma] {
-            println!(
-                "{:<16} {:>12.3e} {:>12.3e} {:>7.3} {:>10.2}",
-                r.config,
-                r.instructions,
-                r.cycles,
-                r.cpi(),
-                r.gemm_inst_ratio
-            );
-        }
-        println!(
-            "speedups: no-MMA {:.2}x, MMA {:.2}x",
-            f.speedup_no_mma(),
-            f.speedup_mma()
-        );
-    }
-}
-
-fn do_socket(o: &Opts) {
-    header(
-        "Socket-level AI projections",
-        "up to 10x FP32 and 21x INT8 over POWER9",
-    );
-    let p10 = CoreConfig::power10();
-    let models = [resnet50(100), bert_large(8, 384)];
-    let projections = runner::run_jobs_par(&models, |_, model| {
-        let f = fig6_cached(model, o.ops / 2);
-        let int8: inference::InferenceRun = runner::cached(
-            &format!("int8 {} ops={}", model.name, o.ops / 2),
-            &format!(
-                "int8|{}|{}|{}",
-                serde_json::to_string(model).expect("model serializes"),
-                serde_json::to_string(&p10).expect("config serializes"),
-                o.ops / 2
-            ),
-            || inference::compose_int8(model, &p10, o.ops / 2),
-        );
-        socket::project_socket_measured(&f, &int8, &socket::SocketScaling::default())
-    });
-    for p in projections {
-        if o.json {
-            println!("{}", serde_json::to_string_pretty(&p).expect("json"));
-            continue;
-        }
-        println!(
-            "{:<12} core {:.2}x  socket FP32 {:.1}x (paper up to 10x)  INT8 {:.1}x (paper up to 21x)",
-            p.model, p.core_speedup, p.fp32_socket_speedup, p.int8_socket_speedup
-        );
-    }
-}
-
-fn do_fig10(o: &Opts) {
-    header(
-        "Fig. 10 — core-model vs chip-model power/IPC scatter",
-        "memory-bound simpoints diverge between models",
-    );
-    let ops = o.ops / 10;
-    let pts = experiment("fig10", &format!("snippets=4|ops={ops}"), || {
-        run_fig10(&suite(), 4, ops)
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&pts).expect("json"));
-        return;
-    }
-    println!(
-        "{:<14} {:>4} {:>6} {:>8} {:>10}",
-        "bench", "snip", "model", "IPC", "core power"
-    );
-    for p in &pts {
-        println!(
-            "{:<14} {:>4} {:>6} {:>8.3} {:>10.1}",
-            p.bench,
-            p.snippet,
-            match p.model {
-                p10_apex::ApexModel::Core => "core",
-                p10_apex::ApexModel::Chip => "chip",
-            },
-            p.ipc,
-            p.core_power
-        );
-    }
+/// Fig. 6: one end-to-end inference run per model.
+fn fig6(o: &Opts) -> Vec<inference::Fig6Model> {
+    runner::run_jobs_par(&models(), |_, m| inference::run_fig6(m, o.ops / 2))
 }
 
 fn fig11_dataset(o: &Opts) -> p10_powermodel::Dataset {
@@ -1034,448 +743,664 @@ fn fig11_dataset(o: &Opts) -> p10_powermodel::Dataset {
     )
 }
 
-/// The [`fig11_dataset`] inputs plus a study's own `extra` ones, as an
-/// [`experiment`] key argument.
-fn fig11_args(o: &Opts, extra: &str) -> String {
-    format!(
-        "cfg={}|seeds=[1, 2]|ops={}|window=512|active|{extra}",
-        config_arg(&CoreConfig::power10()),
-        o.ops / 2
-    )
-}
-
-fn do_fig11(o: &Opts) {
-    header(
-        "Fig. 11 — M1-linked power model error vs #inputs",
-        "error falls with inputs; <2.5% active at max inputs",
-    );
-    let curves = experiment("fig11", &fig11_args(o, "inputs=12"), || {
-        let data = runner::timed("fig11 dataset", || fig11_dataset(o));
-        runner::timed("fig11 regression", || run_fig11(&data, 12))
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&curves).expect("json"));
-        return;
-    }
-    for c in &curves {
-        println!("-- {} --", c.label);
-        for p in &c.points {
-            println!(
-                "  inputs {:>2}: test err {:>6.2}%  train err {:>6.2}%",
-                p.inputs, p.test_error_pct, p.train_error_pct
+/// Every experiment, in `figures all` order; on-demand ones last.
+static REGISTRY: &[&dyn Run] = &[
+    &Experiment {
+        name: "table1",
+        title: "Table I — chip features & efficiency projections",
+        paper: "2.6x core perf/W, up to 3x socket",
+        in_all: true,
+        cached: true,
+        compute: |o| table1::run_table1(&suite(), 42, o.ops),
+        render: |t| {
+            format!(
+                "SMT per core                  : {}\n\
+                 L2 per SMT8 core              : {:.1} MiB (paper: 2 MiB)\n\
+                 MMU (TLB) ratio vs POWER9     : {:.1}x (paper: 4x)\n\
+                 Core perf ratio               : {:.2}x (paper: ~1.3x)\n\
+                 Core power ratio              : {:.2}x (paper: ~0.5x)\n\
+                 Core performance/watt         : {:.2}x (paper: 2.6x)\n\
+                 Socket-view efficiency (SMT2) : {:.2}x (paper: up to 3x)\n",
+                t.smt_per_core,
+                t.l2_per_core_mib,
+                t.mmu_ratio,
+                t.perf_ratio,
+                t.power_ratio,
+                t.perf_per_watt_core,
+                t.socket_efficiency
+            )
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig2",
+        title: "Fig. 2 — optimal pipeline depth",
+        paper: "optimum stable at 27 FO4 for 0.5x-1.0x power targets",
+        in_all: true,
+        cached: true,
+        compute: |_| p10_pipedepth::run_fig2(&p10_pipedepth::DepthParams::default(), &[0.25]),
+        render: |f| {
+            let mut s = String::new();
+            for &t in &f.power_targets {
+                s += &format!("power target {t:.2}x: optimal FO4 = {}\n", f.optimal_fo4(t));
+            }
+            s += "curve (target=1.0): fo4 -> BIPS\n";
+            let curve = f
+                .points
+                .iter()
+                .filter(|p| (p.power_target - 1.0).abs() < 1e-9);
+            for p in curve.step_by(4) {
+                s += &format!("  {:>4.0}  {:.3}\n", p.fo4, p.bips);
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig4",
+        title: "Fig. 4 — per-design-change performance gains",
+        paper: "SMT8 SPECint: branch 4%, lat+BW 10%, L2 9%, decode+VSX 5%, queues 4%",
+        in_all: true,
+        cached: true,
+        compute: |o| ablation::run_fig4(&suite(), 42, o.ops / 2),
+        render: |f| {
+            let mut s =
+                "group                      ST      SMT      max  max workload\n".to_owned();
+            for r in &f.rows {
+                s += &format!(
+                    "{:<20} {:>7.1}% {:>7.1}% {:>7.1}%  {}\n",
+                    r.group,
+                    r.st_gain * 100.0,
+                    r.smt_gain * 100.0,
+                    r.max_gain * 100.0,
+                    r.max_workload
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig5",
+        title: "Fig. 5 — DGEMM flops/cycle & core power",
+        paper: "P10 VSU 1.95x @ -32.2%; P10 MMA 5.47x @ -24.1%; 62.1%/87.1% of peak",
+        in_all: true,
+        cached: true,
+        compute: |o| gemm::run_fig5(o.ops),
+        render: |f| {
+            let mut s = String::new();
+            for p in [&f.p9_vsu, &f.p10_vsu, &f.p10_mma] {
+                s += &format!(
+                    "{:<24} {:>6.2} flops/cyc ({:>5.1}% of peak)  core power {:>7.1}\n",
+                    p.label,
+                    p.flops_per_cycle,
+                    p.peak_utilization * 100.0,
+                    p.core_power
+                );
+            }
+            s + &format!(
+                "VSU speedup {:.2}x (paper 1.95x)   power {:+.1}% (paper -32.2%)\n\
+                 MMA speedup {:.2}x (paper 5.47x)   power {:+.1}% (paper -24.1%)\n",
+                f.vsu_speedup(),
+                f.vsu_power_delta() * 100.0,
+                f.mma_speedup(),
+                f.mma_power_delta() * 100.0
+            )
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig6",
+        title: "Fig. 6 — end-to-end inference",
+        paper: "ResNet-50: 2.25x/3.55x; BERT-Large: 2.08x/3.64x (no-MMA/MMA)",
+        in_all: true,
+        cached: true,
+        compute: fig6,
+        render: |figs| {
+            let mut s = String::new();
+            for f in figs {
+                s += &format!("-- {} --\n", f.model);
+                s += "config           instructions       cycles     CPI GEMM-ratio\n";
+                for r in [&f.p9, &f.p10_no_mma, &f.p10_mma] {
+                    s += &format!(
+                        "{:<16} {:>12.3e} {:>12.3e} {:>7.3} {:>10.2}\n",
+                        r.config,
+                        r.instructions,
+                        r.cycles,
+                        r.cpi(),
+                        r.gemm_inst_ratio
+                    );
+                }
+                s += &format!(
+                    "speedups: no-MMA {:.2}x, MMA {:.2}x\n",
+                    f.speedup_no_mma(),
+                    f.speedup_mma()
+                );
+            }
+            s
+        },
+        json: |figs| pretty_each(figs),
+    },
+    &Experiment {
+        name: "socket",
+        title: "Socket-level AI projections",
+        paper: "up to 10x FP32 and 21x INT8 over POWER9",
+        in_all: true,
+        cached: true,
+        compute: |o| {
+            // The FP32 runs are Fig. 6's, read through its cache entry.
+            let figs = experiment("fig6", o.ops, || fig6(o));
+            let (p10, scaling) = (CoreConfig::power10(), socket::SocketScaling::default());
+            runner::run_jobs_par(&models(), |i, model| {
+                let int8 = inference::compose_int8(model, &p10, o.ops / 2);
+                socket::project_socket_measured(&figs[i], &int8, &scaling)
+            })
+        },
+        render: |projections| {
+            let mut s = String::new();
+            for p in projections {
+                s += &format!(
+                    "{:<12} core {:.2}x  socket FP32 {:.1}x (paper up to 10x)  INT8 {:.1}x (paper up to 21x)\n",
+                    p.model, p.core_speedup, p.fp32_socket_speedup, p.int8_socket_speedup
+                );
+            }
+            s
+        },
+        json: |projections| pretty_each(projections),
+    },
+    &Experiment {
+        name: "fig10",
+        title: "Fig. 10 — core-model vs chip-model power/IPC scatter",
+        paper: "memory-bound simpoints diverge between models",
+        in_all: true,
+        cached: true,
+        compute: |o| run_fig10(&suite(), 4, o.ops / 10),
+        render: |pts| {
+            let mut s = "bench          snip  model      IPC core power\n".to_owned();
+            for p in pts {
+                let model = match p.model {
+                    p10_apex::ApexModel::Core => "core",
+                    p10_apex::ApexModel::Chip => "chip",
+                };
+                s += &format!(
+                    "{:<14} {:>4} {:>6} {:>8.3} {:>10.1}\n",
+                    p.bench, p.snippet, model, p.ipc, p.core_power
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig11",
+        title: "Fig. 11 — M1-linked power model error vs #inputs",
+        paper: "error falls with inputs; <2.5% active at max inputs",
+        in_all: true,
+        cached: true,
+        compute: |o| {
+            let data = runner::timed("fig11 dataset", || fig11_dataset(o));
+            runner::timed("fig11 regression", || run_fig11(&data, 12))
+        },
+        render: |curves| {
+            let mut s = String::new();
+            for c in curves {
+                s += &format!("-- {} --\n", c.label);
+                for p in &c.points {
+                    s += &format!(
+                        "  inputs {:>2}: test err {:>6.2}%  train err {:>6.2}%\n",
+                        p.inputs, p.test_error_pct, p.train_error_pct
+                    );
+                }
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig12",
+        title: "Fig. 12 — top-down vs bottom-up power models",
+        paper: "models differ by 3.42% on average; 72 events total bottom-up",
+        in_all: true,
+        cached: true,
+        compute: |o| {
+            // One windowed-run pass feeds all 40 targets (total + 39
+            // components).
+            let targets: Vec<Target> = std::iter::once(Target::TotalPower)
+                .chain((0..39).map(Target::Component))
+                .collect();
+            let cfg = CoreConfig::power10();
+            let mut datasets = build_datasets(&cfg, &suite()[..6], &[1], o.ops / 3, 512, &targets);
+            let total = datasets.remove(0);
+            run_fig12(&total, &datasets, 12, 3)
+        },
+        render: |f| {
+            format!(
+                "model difference   : {:.2}% (paper 3.42%)\n\
+                 bottom-up events   : {} across 39 components (paper 72)\n\
+                 top-down events    : {}\n\
+                 held-out error     : top-down {:.2}%, bottom-up {:.2}%\n",
+                f.mean_model_difference_pct,
+                f.bottom_up_events,
+                f.top_down_events,
+                f.top_down_error_pct,
+                f.bottom_up_error_pct
+            )
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig13",
+        title: "Fig. 13 — derating per testcase",
+        paper: "VT=10% leaves ~25% vulnerable; VT=90% ~52%",
+        in_all: true,
+        cached: true,
+        compute: |o| rasstudy::run_fig13(&CoreConfig::power10(), o.ops / 6, 3),
+        render: |f| {
+            let mut s = "testcase               static   VT=10%   VT=50%   VT=90%\n".to_owned();
+            for r in &f.rows {
+                s += &format!(
+                    "{:<20} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}%\n",
+                    r.testcase, r.static_pct, r.runtime_vt10, r.runtime_vt50, r.runtime_vt90
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig14",
+        title: "Fig. 14 — POWER9 vs POWER10 derating vs VT",
+        paper: "P10 runtime derating higher (6%→21% gap); static ~10% lower",
+        in_all: true,
+        cached: true,
+        compute: |o| rasstudy::run_fig14(o.ops / 6, &[0.1, 0.3, 0.5, 0.7, 0.9]),
+        render: |f| {
+            let mut s = format!(
+                "static derating: P9 {:.1}%  P10 {:.1}%\n    VT P9 runtime P10 runtime      gap\n",
+                f.p9.static_pct, f.p10.static_pct
             );
-        }
-    }
+            for ((vt, r9), (_, r10)) in f.p9.runtime_by_vt.iter().zip(&f.p10.runtime_by_vt) {
+                let gap = r10 - r9;
+                s += &format!("{:>5.0}% {r9:>9.1}% {r10:>9.1}% {gap:>+7.1}%\n", vt * 100.0);
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig15a",
+        title: "Fig. 15(a) — power-proxy error vs #counters",
+        paper: "16 counters → 9.8% active-power error (<5% incl. static)",
+        in_all: true,
+        cached: true,
+        compute: |o| run_fig15a(&fig11_dataset(o), 16),
+        render: |sweep| {
+            let mut s = String::new();
+            for p in sweep {
+                s += &format!(
+                    "  counters {:>2}: active-power err {:>6.2}%\n",
+                    p.inputs, p.test_error_pct
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "fig15b",
+        title: "Fig. 15(b) — proxy error vs time granularity",
+        paper: "predicting every >=50 cycles is near-best; finer degrades fast",
+        in_all: true,
+        cached: true,
+        compute: |o| {
+            let windows = [8, 16, 32, 64, 128, 256, 512];
+            run_fig15b(
+                &CoreConfig::power10(),
+                &suite()[8],
+                o.ops / 2,
+                &windows,
+                8,
+                0.35,
+            )
+        },
+        render: |pts| {
+            let mut s = String::new();
+            for p in pts {
+                s += &format!(
+                    "  window {:>4} cycles: err {:>6.2}%\n",
+                    p.window_cycles, p.error_pct
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "flushes",
+        title: "Flush study — wasted instructions",
+        paper: "-25% SPECint, -38% interpreted/analytics",
+        in_all: true,
+        cached: true,
+        compute: |o| flush::run_flush_study(42, o.ops / 2),
+        render: |f| {
+            let mut s = String::new();
+            for r in &f.rows {
+                s += &format!(
+                    "{:<16} P9 {:>6.3} P10 {:>6.3} waste/inst  reduction {:>6.1}%\n",
+                    r.workload,
+                    r.p9_waste_per_inst,
+                    r.p10_waste_per_inst,
+                    r.reduction() * 100.0
+                );
+            }
+            s + &format!(
+                "SPECint mean reduction      : {:.1}% (paper 25%)\n\
+                 interpreted/analytics mean  : {:.1}% (paper 38%)\n",
+                f.specint_reduction() * 100.0,
+                f.interpreted_reduction() * 100.0
+            )
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "coverage",
+        title: "Proxy coverage — Chopstix top-10 hot functions",
+        paper: "coverage 41% (gcc) to 99% (xz), ~70% average",
+        in_all: true,
+        cached: true,
+        compute: |o| {
+            let workloads: Vec<_> = suite().iter().map(|b| b.workload(23)).collect();
+            chopstix::coverage_table(&workloads, o.ops, 10)
+        },
+        render: |rows| {
+            let mut s = String::new();
+            let mut sum = 0.0;
+            for r in rows {
+                s += &format!(
+                    "{:<16} proxies {:>2}  coverage {:>5.1}%\n",
+                    r.workload,
+                    r.proxies,
+                    r.coverage * 100.0
+                );
+                sum += r.coverage;
+            }
+            let mean = sum / rows.len() as f64 * 100.0;
+            s + &format!("average coverage: {mean:.1}% (paper ~70%)\n")
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "apex-speedup",
+        title: "APEX speedup — detailed vs counter-based extraction",
+        paper: "~5000x on AWAN hardware; software analog shows the asymmetry",
+        in_all: true,
+        cached: false,
+        compute: |o| {
+            let t = suite()[8].workload(5).trace_or_panic(o.ops / 2);
+            let s = p10_apex::measure_speedup(&CoreConfig::power10(), &t, 10_000_000);
+            // Wall-clock numbers vary run to run; they go to the obs
+            // summary on stderr so stdout stays byte-identical across runs.
+            p10_obs::gauge("apex.detailed_s", s.detailed_secs);
+            p10_obs::gauge("apex.apex_s", s.apex_secs);
+            p10_obs::gauge("apex.speedup", s.speedup);
+            eprintln!(
+                "[figures] apex-speedup wall clock: detailed {:.3}s vs APEX {:.3}s -> {:.1}x",
+                s.detailed_secs, s.apex_secs, s.speedup
+            );
+            ApexWork {
+                cycles: s.cycles,
+                windows: s.windows,
+            }
+        },
+        render: |a| {
+            format!(
+                "APEX extracted {} counter windows over {} cycles (detailed run reads every cycle)\n",
+                a.windows, a.cycles
+            )
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "wof",
+        title: "WOF — workload-optimized frequency",
+        paper: "light workloads boost under the envelope; MMA gating reclaims leakage",
+        in_all: true,
+        cached: true,
+        compute: run_wof,
+        render: |rows| {
+            let mut s = String::new();
+            for r in rows {
+                s += &format!(
+                    "{:<16} Ceff {:>5.2}  f = {:.2} GHz (boost {:>5.2}x), {:.2} GHz with MMA gated\n",
+                    r.workload, r.ceff, r.freq_ghz, r.boost, r.freq_with_mma_gated
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "tracepoints",
+        title: "Tracepoints vs Simpoints",
+        paper: "counter-histogram epochs beat BBVs on phased/interpreted code",
+        in_all: true,
+        cached: true,
+        compute: |o| {
+            let w = p10_workloads::suite::phased_pointer_chase(2_000);
+            tracestudy::run_trace_study(&CoreConfig::power10(), &w, o.ops, 1_500, 3)
+        },
+        render: |t| {
+            format!(
+                "full CPI {:.3} | simpoint est {:.3} (err {:.1}%) | tracepoint est {:.3} (err {:.1}%)\n",
+                t.full_cpi,
+                t.simpoint_cpi,
+                t.simpoint_error * 100.0,
+                t.tracepoint_cpi,
+                t.tracepoint_error * 100.0
+            )
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "sensitivity",
+        title: "Design-choice sensitivity",
+        paper: "SS II-B mechanisms toggled off one at a time on POWER10",
+        in_all: true,
+        cached: true,
+        compute: |o| p10_core::sensitivity::run_sensitivity(&suite(), 42, o.ops / 2),
+        render: |rows| {
+            let mut s =
+                "mechanism                        perf      power  energy/inst\n".to_owned();
+            for r in rows {
+                s += &format!(
+                    "{:<26} {:>+9.1}% {:>+9.1}% {:>+11.1}%\n",
+                    r.label,
+                    r.perf_benefit * 100.0,
+                    r.power_benefit * 100.0,
+                    r.efficiency_benefit * 100.0
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "smt",
+        title: "SMT throughput scaling",
+        paper: "Table I: 8-way SMT per core; deeper P10 queues sustain threads",
+        in_all: true,
+        cached: true,
+        compute: |o| {
+            let suite = suite();
+            let sel: Vec<_> = [8, 2, 7, 0].iter().map(|&i| suite[i].clone()).collect();
+            p10_core::smtscale::run_smt_scaling(&sel, 42, o.ops / 4)
+        },
+        render: |f| {
+            let mut s = "machine     threads  aggregate IPC   scaling\n".to_owned();
+            for p in &f.points {
+                s += &format!(
+                    "{:<10} {:>8} {:>14.3} {:>8.2}x\n",
+                    p.config, p.threads, p.aggregate_ipc, p.scaling
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "tracking",
+        title: "SS III-B tracked metrics",
+        paper: "IPC, core power, efficiency, latches, % clock enabled, switching",
+        in_all: true,
+        cached: true,
+        compute: |o| {
+            let suite = suite();
+            let track = |cfg| p10_core::tracking::track(&cfg, &suite[..4], 42, o.ops / 6);
+            vec![track(CoreConfig::power9()), track(CoreConfig::power10())]
+        },
+        render: |rows| {
+            let mut s = "machine       IPC   core pwr  efficiency    latches   clk-en%  potential   obs/pot\n".to_owned();
+            for r in rows {
+                s += &format!(
+                    "{:<10} {:>6.2} {:>10.1} {:>11.5} {:>10.0} {:>8.1}% {:>10.3} {:>9.2}\n",
+                    r.config,
+                    r.ipc,
+                    r.core_power,
+                    r.core_efficiency,
+                    r.latches,
+                    r.clock_enabled_pct,
+                    r.potential_switching,
+                    r.observed_ratio
+                );
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "droop",
+        title: "Workload-transition droop",
+        paper: "SS IV-B: sudden workload change droops the rail; the DDS clips it",
+        in_all: true,
+        cached: true,
+        compute: |o| run_droop(o.ops),
+        render: |d| {
+            format!(
+                "scalar -> MMA-kernel transition over {} power windows:\n\
+                 worst droop without DDS {:.1}%  |  with DDS {:.1}% ({} engagements)\n",
+                d.windows,
+                d.max_droop_unprotected * 100.0,
+                d.max_droop_with_dds * 100.0,
+                d.engagements
+            )
+        },
+        json: |d| serde_json::to_string(d).expect("json"),
+    },
+    &Experiment {
+        name: "dse",
+        title: "DSE — perf/watt Pareto frontier over the design space",
+        paper: "2.6x core perf/W: locate the POWER9 -> POWER10 jump on the frontier",
+        in_all: false,
+        cached: false,
+        compute: run_dse,
+        render: render_dse,
+        json: pretty,
+    },
+    &Experiment {
+        name: "profile",
+        title: "Cycle-attribution profile",
+        paper: "SS III methodology turned on the simulator itself: where cycles go",
+        in_all: false,
+        cached: true,
+        compute: |o| {
+            let configs = [CoreConfig::power9(), CoreConfig::power10()];
+            p10_core::cycleprof::run_profile(&configs, &suite(), 42, o.ops)
+        },
+        render: |rows| {
+            let mut s = "workload         config           cycles    IPC  active     mma     mem   issue    disp   fetch    idle\n".to_owned();
+            for r in rows {
+                s += &format!(
+                    "{:<16} {:<10} {:>12} {:>6.2}",
+                    r.workload, r.config, r.cycles, r.ipc
+                );
+                let a = r.attribution;
+                for bucket in [
+                    a.active,
+                    a.mma_gated,
+                    a.memory_bound,
+                    a.issue_limited,
+                    a.dispatch_stalled,
+                    a.fetch_stalled,
+                    a.idle,
+                ] {
+                    s += &format!(" {:>6.1}%", r.share(bucket));
+                }
+                s += "\n";
+            }
+            s
+        },
+        json: pretty,
+    },
+    &Experiment {
+        name: "sampling",
+        title: "Sampled simulation — exact vs SimPoint-weighted execution",
+        paper: "representative-interval sampling with statistical error bounds",
+        in_all: false,
+        cached: false,
+        compute: |o| {
+            // The study always runs both sides itself: exact as ground
+            // truth, sampled in the CLI's mode, or a budget-scaled default
+            // when the CLI mode is exact or absent. The mode line follows
+            // the header in both output forms, so `--out` leaves it out.
+            let mode = o
+                .sampling
+                .filter(|m| !m.is_exact())
+                .unwrap_or_else(|| samplingstudy::default_mode(o.ops));
+            println!("mode: {}  ops/workload: {}", mode.describe(), o.ops);
+            samplingstudy::run(&suite()[7..10], o.ops, &mode)
+        },
+        render: samplingstudy::SamplingStudy::render,
+        json: |s| pretty(&s.payload()),
+    },
+];
+
+/// What `apex-speedup` prints: the deterministic side of the measurement.
+#[derive(Clone, Serialize, Deserialize)]
+struct ApexWork {
+    cycles: u64,
+    windows: u64,
 }
 
-fn do_fig12(o: &Opts) {
-    header(
-        "Fig. 12 — top-down vs bottom-up power models",
-        "models differ by 3.42% on average; 72 events total bottom-up",
-    );
-    let cfg = CoreConfig::power10();
-    let ops = o.ops / 3;
-    let args = format!(
-        "cfg={}|benches=6|seeds=[1]|ops={ops}|window=512|inputs=12,3",
-        config_arg(&cfg)
-    );
-    let f = experiment("fig12", &args, || {
-        let sweep_suite = suite();
-        // One windowed-run pass feeds all 40 targets (total + 39
-        // components).
-        let targets: Vec<Target> = std::iter::once(Target::TotalPower)
-            .chain((0..39).map(Target::Component))
-            .collect();
-        let mut datasets = build_datasets(&cfg, &sweep_suite[..6], &[1], ops, 512, &targets);
-        let total = datasets.remove(0);
-        run_fig12(&total, &datasets, 12, 3)
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    println!(
-        "model difference   : {:.2}% (paper 3.42%)",
-        f.mean_model_difference_pct
-    );
-    println!(
-        "bottom-up events   : {} across 39 components (paper 72)",
-        f.bottom_up_events
-    );
-    println!("top-down events    : {}", f.top_down_events);
-    println!(
-        "held-out error     : top-down {:.2}%, bottom-up {:.2}%",
-        f.top_down_error_pct, f.bottom_up_error_pct
-    );
+/// One workload's workload-optimized frequency.
+#[derive(Clone, Serialize, Deserialize)]
+struct WofRow {
+    workload: String,
+    ceff: f64,
+    freq_ghz: f64,
+    boost: f64,
+    freq_with_mma_gated: f64,
 }
 
-fn do_fig13(o: &Opts) {
-    header(
-        "Fig. 13 — derating per testcase",
-        "VT=10% leaves ~25% vulnerable; VT=90% ~52%",
-    );
-    let cfg = CoreConfig::power10();
-    let ops = o.ops / 6;
-    let args = format!("cfg={}|ops={ops}|spec_benches=3", config_arg(&cfg));
-    let f = experiment("fig13", &args, || rasstudy::run_fig13(&cfg, ops, 3));
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    println!(
-        "{:<20} {:>8} {:>8} {:>8} {:>8}",
-        "testcase", "static", "VT=10%", "VT=50%", "VT=90%"
-    );
-    for r in &f.rows {
-        println!(
-            "{:<20} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}%",
-            r.testcase, r.static_pct, r.runtime_vt10, r.runtime_vt50, r.runtime_vt90
-        );
-    }
-}
-
-fn do_fig14(o: &Opts) {
-    header(
-        "Fig. 14 — POWER9 vs POWER10 derating vs VT",
-        "P10 runtime derating higher (6%→21% gap); static ~10% lower",
-    );
-    let (ops, vts) = (o.ops / 6, [0.1, 0.3, 0.5, 0.7, 0.9]);
-    let f = experiment("fig14", &format!("ops={ops}|vts={vts:?}"), || {
-        rasstudy::run_fig14(ops, &vts)
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&f).expect("json"));
-        return;
-    }
-    println!(
-        "static derating: P9 {:.1}%  P10 {:.1}%",
-        f.p9.static_pct, f.p10.static_pct
-    );
-    println!(
-        "{:>6} {:>10} {:>10} {:>8}",
-        "VT", "P9 runtime", "P10 runtime", "gap"
-    );
-    for ((vt, r9), (_, r10)) in f.p9.runtime_by_vt.iter().zip(f.p10.runtime_by_vt.iter()) {
-        println!(
-            "{:>5.0}% {:>9.1}% {:>9.1}% {:>+7.1}%",
-            vt * 100.0,
-            r9,
-            r10,
-            r10 - r9
-        );
-    }
-}
-
-fn do_fig15a(o: &Opts) {
-    header(
-        "Fig. 15(a) — power-proxy error vs #counters",
-        "16 counters → 9.8% active-power error (<5% incl. static)",
-    );
-    let sweep = experiment("fig15a", &fig11_args(o, "counters=16"), || {
-        run_fig15a(&fig11_dataset(o), 16)
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&sweep).expect("json"));
-        return;
-    }
-    for p in &sweep {
-        println!(
-            "  counters {:>2}: active-power err {:>6.2}%",
-            p.inputs, p.test_error_pct
-        );
-    }
-}
-
-fn do_fig15b(o: &Opts) {
-    header(
-        "Fig. 15(b) — proxy error vs time granularity",
-        "predicting every >=50 cycles is near-best; finer degrades fast",
-    );
-    let cfg = CoreConfig::power10();
-    let (ops, windows) = (o.ops / 2, [8, 16, 32, 64, 128, 256, 512]);
-    let args = format!(
-        "cfg={}|bench=8|ops={ops}|windows={windows:?}|inputs=8|carryover=0.35",
-        config_arg(&cfg)
-    );
-    let pts = experiment("fig15b", &args, || {
-        run_fig15b(&cfg, &suite()[8], ops, &windows, 8, 0.35)
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&pts).expect("json"));
-        return;
-    }
-    for p in &pts {
-        println!(
-            "  window {:>4} cycles: err {:>6.2}%",
-            p.window_cycles, p.error_pct
-        );
-    }
-}
-
-fn do_flushes(o: &Opts) {
-    header(
-        "Flush study — wasted instructions",
-        "-25% SPECint, -38% interpreted/analytics",
-    );
-    let ops = o.ops / 2;
-    let s = experiment("flushes", &format!("seed=42|ops={ops}"), || {
-        flush::run_flush_study(42, ops)
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&s).expect("json"));
-        return;
-    }
-    for r in &s.rows {
-        println!(
-            "{:<16} P9 {:>6.3} P10 {:>6.3} waste/inst  reduction {:>6.1}%",
-            r.workload,
-            r.p9_waste_per_inst,
-            r.p10_waste_per_inst,
-            r.reduction() * 100.0
-        );
-    }
-    println!(
-        "SPECint mean reduction      : {:.1}% (paper 25%)",
-        s.specint_reduction() * 100.0
-    );
-    println!(
-        "interpreted/analytics mean  : {:.1}% (paper 38%)",
-        s.interpreted_reduction() * 100.0
-    );
-}
-
-fn do_coverage(o: &Opts) {
-    header(
-        "Proxy coverage — Chopstix top-10 hot functions",
-        "coverage 41% (gcc) to 99% (xz), ~70% average",
-    );
-    let rows = experiment("coverage", &format!("seed=23|ops={}|top=10", o.ops), || {
-        let workloads: Vec<_> = suite().iter().map(|b| b.workload(23)).collect();
-        chopstix::coverage_table(&workloads, o.ops, 10)
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-        return;
-    }
-    let mut sum = 0.0;
-    for r in &rows {
-        println!(
-            "{:<16} proxies {:>2}  coverage {:>5.1}%",
-            r.workload,
-            r.proxies,
-            r.coverage * 100.0
-        );
-        sum += r.coverage;
-    }
-    println!(
-        "average coverage: {:.1}% (paper ~70%)",
-        sum / rows.len() as f64 * 100.0
-    );
-}
-
-fn do_apex_speedup(o: &Opts) {
-    header(
-        "APEX speedup — detailed vs counter-based extraction",
-        "~5000x on AWAN hardware; software analog shows the asymmetry",
-    );
-    let b = &suite()[8];
-    let t = b.workload(5).trace_or_panic(o.ops / 2);
-    let s = p10_apex::measure_speedup(&CoreConfig::power10(), &t, 10_000_000);
-    // Wall-clock numbers vary run to run; they go to the obs summary on
-    // stderr so stdout stays byte-identical across runs.
-    p10_obs::gauge("apex.detailed_s", s.detailed_secs);
-    p10_obs::gauge("apex.apex_s", s.apex_secs);
-    p10_obs::gauge("apex.speedup", s.speedup);
-    eprintln!(
-        "[figures] apex-speedup wall clock: detailed {:.3}s vs APEX {:.3}s -> {:.1}x",
-        s.detailed_secs, s.apex_secs, s.speedup
-    );
-    if o.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&json!({
-                "cycles": s.cycles,
-                "windows": s.windows,
-            }))
-            .expect("json")
-        );
-        return;
-    }
-    println!(
-        "APEX extracted {} counter windows over {} cycles (detailed run reads every cycle)",
-        s.windows, s.cycles
-    );
-}
-
-fn do_profile(o: &Opts) {
-    header(
-        "Cycle-attribution profile",
-        "SS III methodology turned on the simulator itself: where cycles go",
-    );
-    let configs = [CoreConfig::power9(), CoreConfig::power10()];
-    let rows = p10_core::cycleprof::run_profile(&configs, &suite(), 42, o.ops);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-        return;
-    }
-    println!(
-        "{:<16} {:<10} {:>12} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "workload",
-        "config",
-        "cycles",
-        "IPC",
-        "active",
-        "mma",
-        "mem",
-        "issue",
-        "disp",
-        "fetch",
-        "idle"
-    );
-    for r in &rows {
-        let a = r.attribution;
-        println!(
-            "{:<16} {:<10} {:>12} {:>6.2} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
-            r.workload,
-            r.config,
-            r.cycles,
-            r.ipc,
-            r.share(a.active),
-            r.share(a.mma_gated),
-            r.share(a.memory_bound),
-            r.share(a.issue_limited),
-            r.share(a.dispatch_stalled),
-            r.share(a.fetch_stalled),
-            r.share(a.idle)
-        );
-    }
-}
-
-fn do_wof(o: &Opts) {
-    header(
-        "WOF — workload-optimized frequency",
-        "light workloads boost under the envelope; MMA gating reclaims leakage",
-    );
+fn run_wof(o: &Opts) -> Vec<WofRow> {
     // Effective capacitance ratios from measured suite dynamic power.
-    let cfg = CoreConfig::power10();
-    let results = scenario::run_suite(&cfg, &suite(), 42, o.ops / 3);
+    let results = scenario::run_suite(&CoreConfig::power10(), &suite(), 42, o.ops / 3).results;
     let ref_power = results
-        .results
         .iter()
         .map(|r| r.power.active())
         .fold(0.0f64, f64::max);
     let wcfg = wof::WofConfig::typical();
-    let mut rows = Vec::new();
-    for r in &results.results {
+    let rows = results.into_iter().map(|r| {
         let ceff = wof::ceff_ratio(r.power.active(), ref_power);
         let d = wof::solve(&wcfg, ceff, 0.0);
-        let d_gated = wof::solve(&wcfg, ceff, 2.0);
-        rows.push(json!({
-            "workload": r.workload,
-            "ceff": ceff,
-            "freq_ghz": d.point.freq,
-            "boost": d.boost,
-            "freq_with_mma_gated": d_gated.point.freq,
-        }));
-        if !o.json {
-            println!(
-                "{:<16} Ceff {:>5.2}  f = {:.2} GHz (boost {:>5.2}x), {:.2} GHz with MMA gated",
-                r.workload, ceff, d.point.freq, d.boost, d_gated.point.freq
-            );
+        WofRow {
+            workload: r.workload,
+            ceff,
+            freq_ghz: d.point.freq,
+            boost: d.boost,
+            freq_with_mma_gated: wof::solve(&wcfg, ceff, 2.0).point.freq,
         }
-    }
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-    }
-}
-
-fn do_sensitivity(o: &Opts) {
-    header(
-        "Design-choice sensitivity",
-        "SS II-B mechanisms toggled off one at a time on POWER10",
-    );
-    let rows = p10_core::sensitivity::run_sensitivity(&suite(), 42, o.ops / 2);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-        return;
-    }
-    println!(
-        "{:<26} {:>10} {:>10} {:>12}",
-        "mechanism", "perf", "power", "energy/inst"
-    );
-    for r in &rows {
-        println!(
-            "{:<26} {:>+9.1}% {:>+9.1}% {:>+11.1}%",
-            r.label,
-            r.perf_benefit * 100.0,
-            r.power_benefit * 100.0,
-            r.efficiency_benefit * 100.0
-        );
-    }
-}
-
-fn do_smt(o: &Opts) {
-    header(
-        "SMT throughput scaling",
-        "Table I: 8-way SMT per core; deeper P10 queues sustain threads",
-    );
-    let suite = suite();
-    let sel: Vec<_> = [8usize, 2, 7, 0]
-        .iter()
-        .map(|&i| suite[i].clone())
-        .collect();
-    let s = p10_core::smtscale::run_smt_scaling(&sel, 42, o.ops / 4);
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&s).expect("json"));
-        return;
-    }
-    println!(
-        "{:<10} {:>8} {:>14} {:>9}",
-        "machine", "threads", "aggregate IPC", "scaling"
-    );
-    for p in &s.points {
-        println!(
-            "{:<10} {:>8} {:>14.3} {:>8.2}x",
-            p.config, p.threads, p.aggregate_ipc, p.scaling
-        );
-    }
-}
-
-fn do_tracking(o: &Opts) {
-    header(
-        "SS III-B tracked metrics",
-        "IPC, core power, efficiency, latches, % clock enabled, switching",
-    );
-    let ops = o.ops / 6;
-    let rows = experiment("tracking", &format!("benches=4|seed=42|ops={ops}"), || {
-        let suite = suite();
-        let sel = &suite[..4];
-        vec![
-            p10_core::tracking::track(&CoreConfig::power9(), sel, 42, ops),
-            p10_core::tracking::track(&CoreConfig::power10(), sel, 42, ops),
-        ]
     });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&rows).expect("json"));
-        return;
-    }
-    println!(
-        "{:<10} {:>6} {:>10} {:>11} {:>10} {:>9} {:>10} {:>9}",
-        "machine", "IPC", "core pwr", "efficiency", "latches", "clk-en%", "potential", "obs/pot"
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {:>6.2} {:>10.1} {:>11.5} {:>10.0} {:>8.1}% {:>10.3} {:>9.2}",
-            r.config,
-            r.ipc,
-            r.core_power,
-            r.core_efficiency,
-            r.latches,
-            r.clock_enabled_pct,
-            r.potential_switching,
-            r.observed_ratio
-        );
-    }
+    rows.collect()
 }
 
 /// The numbers `droop` prints.
@@ -1521,33 +1446,7 @@ fn run_droop(ops: u64) -> Droop {
     }
 }
 
-fn do_droop(o: &Opts) {
-    header(
-        "Workload-transition droop",
-        "SS IV-B: sudden workload change droops the rail; the DDS clips it",
-    );
-    let d = experiment("droop", &format!("ops={}", o.ops), || run_droop(o.ops));
-    if o.json {
-        println!("{}", serde_json::to_string(&d).expect("json"));
-        return;
-    }
-    println!(
-        "scalar -> MMA-kernel transition over {} power windows:",
-        d.windows
-    );
-    println!(
-        "worst droop without DDS {:.1}%  |  with DDS {:.1}% ({} engagements)",
-        d.max_droop_unprotected * 100.0,
-        d.max_droop_with_dds * 100.0,
-        d.engagements
-    );
-}
-
-fn do_dse(o: &Opts) {
-    header(
-        "DSE — perf/watt Pareto frontier over the design space",
-        "2.6x core perf/W: locate the POWER9 -> POWER10 jump on the frontier",
-    );
+fn run_dse(o: &Opts) -> dse::DseResult {
     let grid = dse::default_grid();
     let suite = dse::default_suite();
     let mut cfg = dse::DseConfig::new(42, o.ops);
@@ -1561,8 +1460,7 @@ fn do_dse(o: &Opts) {
     let sp = p10_obs::span("dse.sweep");
     let outcome = dse::run_dse(runner::engine(), &grid, &suite, &cfg);
     let wall = sp.finish();
-    let r = &outcome.result;
-    let s = r.stats;
+    let s = outcome.result.stats;
     // Wall-clock accounting stays on stderr so stdout is deterministic.
     eprintln!(
         "[figures] dse: {} points in {wall:.2}s — {} recordings simulated, {} shards computed, {} resumed",
@@ -1577,35 +1475,34 @@ fn do_dse(o: &Opts) {
         // per-config re-simulation would cost ~points/classes as much.
         p10_obs::gauge("dse.est_naive_speedup", s.points as f64 / s.classes as f64);
     }
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(r).expect("json"));
-        return;
-    }
-    println!(
-        "grid: {} points | {} timing classes | {} benchmarks | {} shards",
-        s.points, s.classes, s.benches, s.shards
-    );
+    outcome.result
+}
+
+fn render_dse(r: &dse::DseResult) -> String {
+    let st = r.stats;
     #[allow(clippy::cast_precision_loss)]
-    let replay_pct = s.replay_hits as f64 * 100.0 / s.points.max(1) as f64;
-    println!(
-        "reuse: {} points pure replay ({replay_pct:.1}%), {} detailed simulations ({} classes x {} benchmarks)",
-        s.replay_hits,
-        s.classes * s.benches,
-        s.classes,
-        s.benches
-    );
-    println!(
-        "\nPareto frontier ({} of {} points):",
+    let replay_pct = st.replay_hits as f64 * 100.0 / st.points.max(1) as f64;
+    let mut s = format!(
+        "grid: {} points | {} timing classes | {} benchmarks | {} shards\n\
+         reuse: {} points pure replay ({replay_pct:.1}%), {} detailed simulations ({} classes x {} benchmarks)\n\
+         \nPareto frontier ({} of {} points):\n{}\n",
+        st.points,
+        st.classes,
+        st.benches,
+        st.shards,
+        st.replay_hits,
+        st.classes * st.benches,
+        st.classes,
+        st.benches,
         r.frontier.len(),
-        s.points
+        st.points,
+        dse::frontier_markdown(r)
     );
-    print!("{}", dse::frontier_markdown(r));
     let paper: Vec<&dse::DsePointResult> = r.points.iter().filter(|p| p.paper).collect();
-    println!();
     for p in &paper {
         let on = r.frontier.iter().any(|&i| r.points[i].name == p.name);
-        println!(
-            "paper endpoint {:<18} perf {:>7.3}  power {:>6.1} W  perf/W {:.4}  [{}]",
+        s += &format!(
+            "paper endpoint {:<18} perf {:>7.3}  power {:>6.1} W  perf/W {:.4}  [{}]\n",
             p.name,
             p.perf,
             p.power,
@@ -1614,228 +1511,67 @@ fn do_dse(o: &Opts) {
         );
     }
     if let [p9, p10] = paper.as_slice() {
-        println!(
-            "POWER10 vs POWER9 perf/W: {:.2}x (paper: 2.6x core)",
+        s += &format!(
+            "POWER10 vs POWER9 perf/W: {:.2}x (paper: 2.6x core)\n",
             p10.perf_per_watt / p9.perf_per_watt.max(1e-12)
         );
     }
+    s
 }
 
-/// The default study mode when the CLI didn't ask for a specific one:
-/// ~64 intervals across the op budget with a 1/8-interval warmup. The
-/// interval floor keeps per-interval measurement above the granularity
-/// where boundary residue dominates; small budgets therefore degrade
-/// gracefully toward exact (fewer intervals, most of them simulated).
-fn default_sampling_mode(ops: u64) -> SamplingMode {
-    let interval_ops = usize::try_from(ops / 64).unwrap_or(usize::MAX).max(2500);
-    SamplingMode::SimPoints {
-        interval_ops,
-        k: 8,
-        warmup_ops: interval_ops / 8,
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Everything from `text`'s start up to the next experiment header
+    /// (or the end), and the rest.
+    fn section(text: &str) -> (&str, &str) {
+        text.split_at(text.find("\n\n=== ").map_or(text.len(), |i| i + 1))
     }
-}
 
-fn do_sampling(o: &Opts) {
-    header(
-        "Sampled simulation — exact vs SimPoint-weighted execution",
-        "representative-interval sampling with statistical error bounds",
-    );
-    // The study always runs both sides itself (uncached, so wall times
-    // are honest): exact as ground truth, sampled in the CLI's mode (or
-    // a budget-scaled default when the CLI mode is exact/absent).
-    let mode = o
-        .sampling
-        .filter(|m| !m.is_exact())
-        .unwrap_or_else(|| default_sampling_mode(o.ops));
-    let cfg = CoreConfig::power10();
-    let suite = suite();
-    let benches = &suite[7..10];
-    println!("mode: {}  ops/workload: {}", mode.describe(), o.ops);
-    let mut rows = Vec::new();
-    let mut all_ok = true;
-    let mut speedup_sum = 0.0;
-    let mut exacts = Vec::new();
-    // One pool job per workload: both sides run (and are timed) on the
-    // same worker; everything order-sensitive happens below, in workload
-    // order. The trace is synthesized before the exact timer starts, so
-    // both wall times cover simulation only.
-    let runs = runner::run_jobs_par(benches, |_, b| {
-        let views = scenario::benchmark_views(&cfg, b, 42, o.ops);
-        let t0 = std::time::Instant::now();
-        let exact = scenario::run_traces(&cfg, &b.name, views);
-        let exact_s = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let s = sampling::run_benchmark_sampled(&cfg, b, 42, o.ops, &mode);
-        (exact, exact_s, s, t1.elapsed().as_secs_f64())
-    });
-    for (b, (exact, exact_s, s, sampled_s)) in benches.iter().zip(runs) {
-        exacts.push((exact.sim.cpi(), exact.core_power(), exact_s));
-        sampling::record_obs(&s.stats);
-
-        let cpi_err = (s.stats.cpi_est - exact.sim.cpi()).abs() / exact.sim.cpi().max(1e-12);
-        let power_err =
-            (s.stats.power_est - exact.core_power()).abs() / exact.core_power().max(1e-12);
-        let within = cpi_err <= s.stats.cpi_bound_rel && power_err <= s.stats.power_bound_rel;
-        let speedup = exact_s / sampled_s.max(1e-9);
-        all_ok &= within;
-        speedup_sum += speedup;
-        rows.push(json!({
-            "workload": b.name,
-            "mode": s.stats.mode,
-            "exact_cpi": exact.sim.cpi(),
-            "sampled_cpi": s.stats.cpi_est,
-            "cpi_rel_err": cpi_err,
-            "cpi_bound_rel": s.stats.cpi_bound_rel,
-            "exact_core_power": exact.core_power(),
-            "sampled_core_power": s.stats.power_est,
-            "power_rel_err": power_err,
-            "power_bound_rel": s.stats.power_bound_rel,
-            "simulated_ops": s.stats.simulated_ops,
-            "skipped_ops": s.stats.skipped_ops,
-            "intervals": s.stats.intervals,
-            "clusters": s.stats.clusters,
-            "exact_s": exact_s,
-            "sampled_s": sampled_s,
-            "speedup": speedup,
-            "within_bound": within,
-        }));
-        if !o.json {
-            println!(
-                "{:<16} CPI {:>6.3} -> {:>6.3} (err {:>4.1}% <= bound {:>4.1}%)  \
-                 power {:>6.1} -> {:>6.1} W (err {:>4.1}% <= bound {:>4.1}%)  {}",
-                b.name,
-                exact.sim.cpi(),
-                s.stats.cpi_est,
-                cpi_err * 100.0,
-                s.stats.cpi_bound_rel * 100.0,
-                exact.core_power(),
-                s.stats.power_est,
-                power_err * 100.0,
-                s.stats.power_bound_rel * 100.0,
-                if within { "OK" } else { "VIOLATED" }
+    /// Renders each `all` entry from its section of the `--json` golden,
+    /// without simulating anything, and checks the result against the
+    /// golden text. Reprinting the parsed result must also give back the
+    /// JSON section itself, so every result type keeps its JSON shape.
+    #[test]
+    fn all_renders_its_json_goldens_into_its_text_goldens() {
+        let goldens = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens");
+        let read = |name: String| {
+            std::fs::read_to_string(goldens.join(&name))
+                .unwrap_or_else(|e| panic!("goldens/{name}: {e}"))
+        };
+        for ops in [2000, 60000] {
+            let (json, text) = (
+                read(format!("all_ops{ops}.json")),
+                read(format!("all_ops{ops}.txt")),
             );
-            println!(
-                "{:<16} simulated {}/{} ops over {} intervals ({} clusters)  \
-                 wall {:.2}s -> {:.2}s  speedup {:.1}x",
-                "",
-                s.stats.simulated_ops,
-                s.stats.total_ops,
-                s.stats.intervals,
-                s.stats.clusters,
-                exact_s,
-                sampled_s,
-                speedup
+            let (mut json, mut text) = (json.as_str(), text.as_str());
+            for e in REGISTRY.iter().filter(|e| e.in_all()) {
+                let (name, header) = (e.name(), e.header());
+                let (payload, rest) = section(json);
+                json = rest;
+                let payload = payload
+                    .strip_prefix(&header)
+                    .unwrap_or_else(|| panic!("{name}: JSON golden header (--ops {ops})"))
+                    .strip_suffix('\n')
+                    .expect("payload ends its line");
+                // `fig6` and `socket` print one document per model: read
+                // them back as the list they were printed from.
+                let document = if payload.contains("\n}\n{") {
+                    format!("[{}]", payload.replace("\n}\n{", "\n},\n{"))
+                } else {
+                    payload.to_owned()
+                };
+                let (reprinted, rendered) = e.reprint(&document);
+                assert_eq!(reprinted, payload, "{name}: JSON reprint (--ops {ops})");
+                let (expected, rest) = section(text);
+                text = rest;
+                assert_eq!(header + &rendered, expected, "{name}: text (--ops {ops})");
+            }
+            assert!(
+                json.is_empty() && text.is_empty(),
+                "goldens hold more sections"
             );
         }
     }
-    #[allow(clippy::cast_precision_loss)]
-    let mean_speedup = speedup_sum / rows.len() as f64;
-    if !o.json {
-        println!(
-            "error bound check: {}  mean speedup {:.1}x",
-            if all_ok { "OK" } else { "VIOLATED" },
-            mean_speedup
-        );
-    }
-
-    // Target-bound auto-tuning: instead of fixing K, grow it until the
-    // reported error bound meets a target. Later rounds reuse the warm
-    // checkpoints and cached interval measurements earlier rounds (and
-    // the study loop above) persisted, so each round only pays for its
-    // newly measured intervals. Skipped when the CLI already asked for
-    // bound mode — the main table covered it then.
-    let bound = (!matches!(mode, SamplingMode::Bound { .. })).then(|| {
-        let target = SamplingMode::parse("bound:5").expect("static mode");
-        let b = &benches[0];
-        let t0 = std::time::Instant::now();
-        let s = sampling::run_benchmark_sampled(&cfg, b, 42, o.ops, &target);
-        let wall = t0.elapsed().as_secs_f64();
-        sampling::record_obs(&s.stats);
-        let (exact_cpi, exact_power, exact_s) = exacts[0];
-        let cpi_err = (s.stats.cpi_est - exact_cpi).abs() / exact_cpi.max(1e-12);
-        let power_err = (s.stats.power_est - exact_power).abs() / exact_power.max(1e-12);
-        if !o.json {
-            println!(
-                "bound:5 on {:<12} -> {}  CPI err {:>4.1}% <= bound {:>4.1}%  \
-                 power err {:>4.1}% <= bound {:>4.1}%  simulated {}/{}  wall {:.2}s ({:.1}x)",
-                b.name,
-                s.stats.mode,
-                cpi_err * 100.0,
-                s.stats.cpi_bound_rel * 100.0,
-                power_err * 100.0,
-                s.stats.power_bound_rel * 100.0,
-                s.stats.simulated_ops,
-                s.stats.total_ops,
-                wall,
-                exact_s / wall.max(1e-9)
-            );
-        }
-        json!({
-            "workload": b.name,
-            "mode": s.stats.mode,
-            "cpi_rel_err": cpi_err,
-            "cpi_bound_rel": s.stats.cpi_bound_rel,
-            "power_rel_err": power_err,
-            "power_bound_rel": s.stats.power_bound_rel,
-            "simulated_ops": s.stats.simulated_ops,
-            "total_ops": s.stats.total_ops,
-            "clusters": s.stats.clusters,
-        })
-    });
-
-    // Warm-state checkpoint traffic across all of the above. A cold run
-    // reports misses and warm passes; a repeat run (same budget, shared
-    // P10SIM_CKPT_DIR or disk cache) reports hits and zero warm passes.
-    let store = sampling::CkptStore::process_default();
-    let ckpt = json!({
-        "hits": store.ckpt_hits(),
-        "misses": store.ckpt_misses(),
-        "bytes": store.ckpt_bytes(),
-        "warm_passes": store.warm_passes(),
-    });
-    if o.json {
-        let payload = json!({
-            "rows": rows,
-            "bound": bound,
-            "checkpoints": ckpt,
-        });
-        println!("{}", serde_json::to_string_pretty(&payload).expect("json"));
-        return;
-    }
-    println!(
-        "checkpoints: {} hit(s), {} miss(es), {} bytes, {} warm pass(es)",
-        store.ckpt_hits(),
-        store.ckpt_misses(),
-        store.ckpt_bytes(),
-        store.warm_passes()
-    );
-}
-
-fn do_tracepoints(o: &Opts) {
-    header(
-        "Tracepoints vs Simpoints",
-        "counter-histogram epochs beat BBVs on phased/interpreted code",
-    );
-    let cfg = CoreConfig::power10();
-    let args = format!(
-        "cfg={}|phased_pointer_chase=2000|ops={}|interval=1500|k=3",
-        config_arg(&cfg),
-        o.ops
-    );
-    let s = experiment("tracepoints", &args, || {
-        let w = p10_workloads::suite::phased_pointer_chase(2_000);
-        tracestudy::run_trace_study(&cfg, &w, o.ops, 1_500, 3)
-    });
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&s).expect("json"));
-        return;
-    }
-    println!(
-        "full CPI {:.3} | simpoint est {:.3} (err {:.1}%) | tracepoint est {:.3} (err {:.1}%)",
-        s.full_cpi,
-        s.simpoint_cpi,
-        s.simpoint_error * 100.0,
-        s.tracepoint_cpi,
-        s.tracepoint_error * 100.0
-    );
 }

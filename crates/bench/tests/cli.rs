@@ -79,6 +79,14 @@ fn removed_learned_sampling_mode_fails_loudly() {
     );
 }
 
+#[test]
+fn removed_trace_arena_flag_fails_loudly() {
+    assert_usage_error(
+        &["table1", "--no-trace-arena"],
+        "unknown flag '--no-trace-arena'",
+    );
+}
+
 /// The JSON payload printed after the human-readable header: everything
 /// from the first '{'/'[' line to the end of stdout.
 fn json_payload(stdout: &str) -> serde_json::Value {
@@ -233,6 +241,30 @@ fn scratch(tag: &str, leaf: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).expect("create scratch dir");
     d.join(leaf)
+}
+
+/// `--out DIR` stores the payload the run printed, wall-clock fields and
+/// checkpoint traffic included, rather than a second run's.
+#[test]
+fn out_artifact_is_the_printed_payload() {
+    let dir = scratch("out", "artifacts");
+    let out = figures()
+        .args(["sampling", "--ops", "20000", "--no-cache", "--no-ledger"])
+        .args(["--json", "--out"])
+        .arg(&dir)
+        .env("P10SIM_CKPT_DIR", dir.with_file_name("ckpt"))
+        .env_remove("P10SIM_SAMPLING")
+        .output()
+        .expect("run figures");
+    assert!(out.status.success(), "sampling --out failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let payload = &stdout[stdout.find("\n{").expect("JSON payload on stdout") + 1..];
+    let artifact = std::fs::read_to_string(dir.join("sampling.json")).expect("artifact");
+    assert_eq!(
+        artifact, payload,
+        "artifact differs from the printed payload"
+    );
+    let _ = std::fs::remove_dir_all(dir.parent().expect("scratch dir"));
 }
 
 #[test]

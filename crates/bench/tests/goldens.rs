@@ -31,8 +31,7 @@ fn figures_cmd(args: &[&str]) -> Command {
         .env_remove("P10SIM_CKPT_DIR")
         .env_remove("P10SIM_SAMPLING")
         .env_remove("P10SIM_TRACE")
-        .env_remove("P10SIM_OBS_JSON")
-        .env_remove("P10SIM_TRACE_ARENA");
+        .env_remove("P10SIM_OBS_JSON");
     cmd
 }
 

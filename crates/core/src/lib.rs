@@ -50,6 +50,7 @@ pub mod powerstudies;
 pub mod rasstudy;
 pub mod runner;
 pub mod sampling;
+pub mod samplingstudy;
 pub mod scenario;
 pub mod sensitivity;
 pub mod smtscale;

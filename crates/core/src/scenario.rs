@@ -3,7 +3,7 @@
 use p10_isa::TraceView;
 use p10_power::{PowerModel, PowerReport};
 use p10_uarch::{Core, CoreConfig, SimResult, SmtMode};
-use p10_workloads::{arena, Benchmark, Workload};
+use p10_workloads::{Benchmark, Workload};
 use serde::{Deserialize, Serialize};
 
 /// Result of running one workload on one configuration.
@@ -49,23 +49,17 @@ impl ScenarioResult {
 /// rate-mode runs) instead of identical lock-step copies.
 #[must_use]
 pub fn run_workload(cfg: &CoreConfig, workload: &Workload, max_ops: u64) -> ScenarioResult {
-    if arena::enabled() {
-        run_traces(
-            cfg,
-            &workload.name,
-            staggered_views(workload, cfg.smt.threads(), max_ops),
-        )
-    } else {
-        run_traces(
-            cfg,
-            &workload.name,
-            staggered_traces(workload, cfg.smt.threads(), max_ops),
-        )
-    }
+    run_traces(
+        cfg,
+        &workload.name,
+        staggered_views(workload, cfg.smt.threads(), max_ops),
+    )
 }
 
-/// Builds `threads` staggered thread streams as zero-copy views: **one**
-/// trace synthesis, then per-thread `[skip, skip + max_ops)` windows by
+/// Builds `threads` staggered thread streams as zero-copy views, thread
+/// `t` starting `t * 997` ops into the run, as rate-mode copies of one
+/// program interleave on hardware: **one** trace synthesis, then
+/// per-thread `[skip, skip + max_ops)` windows by
 /// range arithmetic on the shared buffer — no per-thread clone, no
 /// O(skip) `drain`.
 ///
@@ -74,7 +68,8 @@ pub fn run_workload(cfg: &CoreConfig, workload: &Workload, max_ops: u64) -> Scen
 /// reuses a single arena buffer instead of growing it once per mode; by
 /// the prefix property the shallower views are unaffected.
 ///
-/// Element-identical to [`staggered_traces`] (pinned by tests): with the
+/// Element-identical to cloning and draining per-thread traces (pinned
+/// by tests against that reference): with the
 /// full trace `F` capped at or beyond the deepest needed cap, thread
 /// `t`'s legacy trace is exactly `F[min(skip, e) .. e]` where
 /// `e = min(skip + max_ops, |F_legacy|)`, whether the program runs to its
@@ -92,29 +87,6 @@ pub fn staggered_views(workload: &Workload, threads: usize, max_ops: u64) -> Vec
             let skip = t * 997;
             let end = full.len().min(skip + max_ops as usize);
             full.slice(skip.min(end)..end)
-        })
-        .collect()
-}
-
-/// Builds `threads` equal-length traces of one workload, thread `t`
-/// starting `t * 997` dynamic instructions into the run.
-///
-/// A `Workload` is already synthesized (its generator seed is baked into
-/// the program and memory image), so per-thread variation comes from
-/// phase offsets rather than re-seeding: each thread replays the same
-/// program from a different point, which is how rate-mode copies actually
-/// interleave on hardware.
-///
-/// This is the legacy clone-and-drain path, kept as the `--no-trace-arena`
-/// reference; the hot path is [`staggered_views`].
-#[must_use]
-pub fn staggered_traces(workload: &Workload, threads: usize, max_ops: u64) -> Vec<p10_isa::Trace> {
-    (0..threads)
-        .map(|t| {
-            let skip = t as u64 * 997;
-            let mut trace = workload.trace_or_panic(max_ops + skip);
-            trace.ops.drain(..trace.ops.len().min(skip as usize));
-            trace
         })
         .collect()
 }
@@ -319,7 +291,23 @@ pub fn power9_smt(smt: SmtMode) -> CoreConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p10_workloads::specint_like;
+    use p10_workloads::{arena, specint_like};
+
+    /// The clone-and-drain reference for [`staggered_views`]: thread `t`
+    /// synthesizes its own trace, bypassing the arena, and drops its first
+    /// `t * 997` ops.
+    fn staggered_traces(workload: &Workload, threads: usize, max_ops: u64) -> Vec<p10_isa::Trace> {
+        (0..threads)
+            .map(|t| {
+                let skip = t as u64 * 997;
+                let mut trace = workload
+                    .trace_uncached(max_ops + skip)
+                    .expect("workload executes");
+                trace.ops.drain(..trace.ops.len().min(skip as usize));
+                trace
+            })
+            .collect()
+    }
 
     #[test]
     fn geomean_basics() {
@@ -374,10 +362,8 @@ mod tests {
     fn staggered_views_are_zero_copy_and_element_identical() {
         // A seed no other test uses, so this test owns the arena entry.
         let w = specint_like()[8].workload(424_242);
-        // Views first: their padded synthesis is the deepest request, so
-        // the legacy path's shallower `trace()` calls below are served
-        // from the same buffer (the legacy path also reads through the
-        // arena when it is enabled).
+        // The reference synthesizes privately, so the arena entry is the
+        // views' padded synthesis alone.
         let views = staggered_views(&w, 4, 2_000);
         let legacy = staggered_traces(&w, 4, 2_000);
         assert_eq!(views.len(), legacy.len());

@@ -67,28 +67,11 @@ pub trait SpanObserver {
 
     /// Whether this observer accepts spans. Returning `false` makes the
     /// scheduler replay fast-forwarded stretches one cycle at a time
-    /// through [`on_cycle`](Self::on_cycle) — the per-cycle compatibility
-    /// mode used by [`Core::run_observed`].
+    /// through [`on_cycle`](Self::on_cycle), so the observer sees every
+    /// cycle's cumulative activity (the per-cycle reference the
+    /// scheduler tests compare spans against).
     fn wants_spans(&self) -> bool {
         true
-    }
-}
-
-/// Adapter presenting a plain per-cycle closure as a [`SpanObserver`]
-/// that opts out of spans (fast-forwarded stretches are replayed).
-struct PerCycleObserver<F>(F);
-
-impl<F: FnMut(u64, &Activity)> SpanObserver for PerCycleObserver<F> {
-    fn on_cycle(&mut self, cycle: u64, act: &Activity) {
-        (self.0)(cycle, act);
-    }
-
-    fn on_span(&mut self, _start: u64, _len: u64, _delta: &Activity) {
-        unreachable!("per-cycle observers never receive spans");
-    }
-
-    fn wants_spans(&self) -> bool {
-        false
     }
 }
 
@@ -360,34 +343,6 @@ impl Core {
             traces.into_iter().map(Into::into).collect(),
             max_cycles,
             None,
-        )
-    }
-
-    /// Like [`Core::run`], but invokes `observer(cycle, &activity)` after
-    /// every simulated cycle — the per-cycle compatibility adapter over
-    /// [`Core::run_spanned`].
-    ///
-    /// With a per-cycle observer attached, fast-forwarded idle stretches
-    /// are replayed one cycle at a time (with the same per-cycle
-    /// accounting) so the observer sees every cycle's cumulative activity.
-    /// Span-aware consumers should implement [`SpanObserver`] and use
-    /// [`Core::run_spanned`] instead, which keeps the fast path fast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more traces are supplied than the configured SMT mode
-    /// supports, or if no traces are supplied.
-    pub fn run_observed<T: Into<TraceView>>(
-        self,
-        traces: Vec<T>,
-        max_cycles: u64,
-        observer: impl FnMut(u64, &Activity),
-    ) -> SimResult {
-        let mut adapter = PerCycleObserver(observer);
-        self.run_inner(
-            traces.into_iter().map(Into::into).collect(),
-            max_cycles,
-            Some(&mut adapter),
         )
     }
 
@@ -2634,6 +2589,22 @@ mod attribution_tests {
         );
     }
 
+    /// Opts out of spans, so the scheduler replays fast-forwarded
+    /// stretches one cycle at a time.
+    struct EveryCycle;
+
+    impl SpanObserver for EveryCycle {
+        fn on_cycle(&mut self, _cycle: u64, _act: &Activity) {}
+
+        fn on_span(&mut self, _start: u64, _len: u64, _delta: &Activity) {
+            unreachable!("per-cycle observers never receive spans");
+        }
+
+        fn wants_spans(&self) -> bool {
+            false
+        }
+    }
+
     #[test]
     fn attribution_identical_with_observer_replay() {
         // The observer path replays fast-forwarded stretches one cycle at
@@ -2641,7 +2612,7 @@ mod attribution_tests {
         let mut cfg = CoreConfig::power10();
         cfg.scheduler = Scheduler::EventDriven;
         let plain = Core::new(cfg.clone()).run(vec![chase_trace()], 10_000_000);
-        let observed = Core::new(cfg).run_observed(vec![chase_trace()], 10_000_000, |_, _| {});
+        let observed = Core::new(cfg).run_spanned(vec![chase_trace()], 10_000_000, &mut EveryCycle);
         assert_eq!(plain.attribution, observed.attribution);
         assert_partitions(&observed);
     }

@@ -199,9 +199,29 @@ impl p10sim::uarch::SpanObserver for TilingObserver {
     }
 }
 
+/// A per-cycle observer: it opts out of spans, so the scheduler replays
+/// fast-forwarded stretches one cycle at a time, and it logs each
+/// cycle's number and cumulative completed-op count.
+#[derive(Default)]
+struct CycleLog(Vec<(u64, u64)>);
+
+impl p10sim::uarch::SpanObserver for CycleLog {
+    fn on_cycle(&mut self, cycle: u64, act: &p10sim::uarch::Activity) {
+        self.0.push((cycle, act.completed));
+    }
+
+    fn on_span(&mut self, _start: u64, _len: u64, _delta: &p10sim::uarch::Activity) {
+        unreachable!("per-cycle observers never receive spans");
+    }
+
+    fn wants_spans(&self) -> bool {
+        false
+    }
+}
+
 /// Observation must not perturb the simulation. Runs the same traces
 /// three ways on the event-driven scheduler — unobserved, under a
-/// span-aware observer, and under the per-cycle compatibility adapter —
+/// span-aware observer, and under a per-cycle observer —
 /// and demands byte-identical `SimResult`s (activity + attribution)
 /// plus a delivery stream that tiles the run.
 ///
@@ -215,10 +235,8 @@ fn assert_observation_is_transparent(cfg: &CoreConfig, traces: &[p10sim::isa::Tr
     let plain = Core::new(cfg.clone()).run(traces.to_vec(), 50_000_000);
     let mut tiling = TilingObserver::new();
     let spanned = Core::new(cfg.clone()).run_spanned(traces.to_vec(), 50_000_000, &mut tiling);
-    let mut per_cycle_calls = 0u64;
-    let per_cycle = Core::new(cfg.clone()).run_observed(traces.to_vec(), 50_000_000, |_, _| {
-        per_cycle_calls += 1;
-    });
+    let mut log = CycleLog::default();
+    let per_cycle = Core::new(cfg.clone()).run_spanned(traces.to_vec(), 50_000_000, &mut log);
 
     let pj = serde_json::to_string(&plain).expect("serialize plain");
     let sj = serde_json::to_string(&spanned).expect("serialize spanned");
@@ -230,7 +248,7 @@ fn assert_observation_is_transparent(cfg: &CoreConfig, traces: &[p10sim::isa::Tr
     );
     assert_eq!(
         pj, cj,
-        "per-cycle adapter must not perturb the run on {label} @ {}",
+        "per-cycle observer must not perturb the run on {label} @ {}",
         cfg.name
     );
     assert_eq!(
@@ -245,8 +263,9 @@ fn assert_observation_is_transparent(cfg: &CoreConfig, traces: &[p10sim::isa::Tr
         cfg.name
     );
     assert_eq!(
-        per_cycle_calls, plain.activity.cycles,
-        "per-cycle adapter must see every cycle on {label} @ {}",
+        log.0.len() as u64,
+        plain.activity.cycles,
+        "per-cycle observer must see every cycle on {label} @ {}",
         cfg.name
     );
 }
@@ -310,7 +329,7 @@ fn rtlsim_observed_sim_matches_plain_run() {
     }
 }
 
-/// The observed (per-cycle callback) entry point must also agree: the
+/// A per-cycle observer must also agree across schedulers: the
 /// fast-forward path replays skipped cycles one at a time for the
 /// observer, and the observer must see every cycle exactly once with
 /// monotonically consistent counters.
@@ -322,10 +341,9 @@ fn observed_run_sees_every_cycle_under_both_schedulers() {
     for scheduler in [Scheduler::Polled, Scheduler::EventDriven] {
         let mut cfg = CoreConfig::power10();
         cfg.scheduler = scheduler;
-        let mut log = Vec::new();
-        let r = Core::new(cfg).run_observed(vec![trace.clone()], 50_000_000, |cycle, act| {
-            log.push((cycle, act.completed));
-        });
+        let mut log = CycleLog::default();
+        let r = Core::new(cfg).run_spanned(vec![trace.clone()], 50_000_000, &mut log);
+        let log = log.0;
         assert_eq!(
             log.len() as u64,
             r.activity.cycles,
